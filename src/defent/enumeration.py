@@ -1,415 +1,261 @@
 """Vectorized point enumeration for definable sets over finite fields.
 
-Assignments of the free variables are enumerated in canonical order (first
-declared variable most significant, each variable running through the field
-enumeration) and the formula is evaluated on numpy batches.  An element
-batch is an integer array of base-p digits with shape (e, k); all field
-arithmetic is digit-wise with reduction rows precomputed from the modulus.
+Field elements stay element indices (gf's canonical encoding) end to end.
+Every variable owns one numpy axis: the free variables in declaration
+order, then each quantified variable.  A subterm is evaluated only over
+the axes of the variables it mentions and broadcasting combines the
+results, so a subterm free of a quantified variable is computed once per
+chunk, not once per value of it.  ``exists``/``forall`` reduce the body
+with ``any``/``all`` over the quantified variable's axis.
 
-Quantifiers iterate the field with blockwise short-circuit over the rows
-still undecided, quantifier-free subtrees are hoisted out of the loop, and
-a quantified atom that splits additively into an x-part and an x-free part
-is resolved by match counting against the value multiset of the x-part.
-These are evaluation-order devices only: results agree with the scalar
-reference evaluator (ringlang.eval_formula) on every input.
+Arithmetic on indices: prime fields use native ``% p``.  Extension fields
+add and negate digit-wise and multiply through O(q) log/exp tables built
+from the field's generator; when q x q ``ADD``/``MUL`` tables fit
+``_TABLE_BYTES`` they are derived from those and used instead, so the
+choice follows from q alone.  Tables are built per field on first use and
+kept for the ``_ENGINE_CACHE`` most recently used fields.
 
-The chunked drivers are deterministic for any worker count because partial
-results are merged in chunk order and each chunk is a pure function of its
-index range.
+A quantified atom that splits additively into an x-part and an x-free
+part is decided by match counting: the value multiset of the x-part is
+counted once per node and field, and the x-free part is looked up in it,
+so such a quantifier adds no axis.  All of this is evaluation order only:
+results agree with the scalar reference evaluator (ringlang.eval_formula)
+on every input.
+
+The free grid is cut into chunks, contiguous flat-index ranges made of
+fixed leading axes, one sliced axis and full trailing axes, sized so that
+a chunk times the quantifier axes it materialises stays within
+``_CHUNK_ELEMS``; a quantifier axis too large for that is walked in
+blocks with an early exit once every row is decided.  Each chunk is a
+pure function of its range and partial results are merged in chunk
+order, so results are identical for any worker count.
 """
 
 from __future__ import annotations
 
+import functools
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import ringlang as rl
 from .errors import BudgetError
-from .gf import FieldSpec, _pmul, _prem, _trim
+from .gf import FieldSpec
 
 DEFAULT_MAX_EVALS = 10**9
 _CHUNK_ELEMS = 1 << 21
+_TABLE_BYTES = 1 << 22  # int16 q x q ADD plus MUL: q <= 1024
+_ENGINE_CACHE = 8
 
-_ENGINES: dict = {}
-
-
-class _HoistT:
-    """Placeholder for a hoisted (quantifier-free) term value in the env."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-
-class _HoistF:
-    """Placeholder for a hoisted (quantifier-free) formula value."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-
-def _tvars(t):
-    if isinstance(t, (_HoistT,)):
-        return set()
-    if isinstance(t, rl.Var):
-        return {t.name}
-    if isinstance(t, rl.Const):
-        return set()
-    if isinstance(t, rl.Neg):
-        return _tvars(t.arg)
-    if isinstance(t, rl.Pow):
-        return _tvars(t.base)
-    out = set()
-    for a in t.args:
-        out |= _tvars(a)
-    return out
-
-
-def _fvars(phi):
-    if isinstance(phi, _HoistF):
-        return set()
-    if isinstance(phi, rl.Eq0):
-        return _tvars(phi.term)
-    if isinstance(phi, rl.Not):
-        return _fvars(phi.arg)
-    if isinstance(phi, (rl.And, rl.Or, rl.Implies)):
-        return _fvars(phi.lhs) | _fvars(phi.rhs)
-    if isinstance(phi, (rl.Exists, rl.Forall)):
-        return _fvars(phi.body) - {phi.var}
-    raise TypeError(f"not a formula: {phi!r}")
+_ENGINES: OrderedDict = OrderedDict()
 
 
 def get_engine(spec: FieldSpec) -> "_Engine":
     eng = _ENGINES.get(spec)
     if eng is None:
-        eng = _Engine(spec)
-        _ENGINES[spec] = eng
+        eng = _ENGINES[spec] = _Engine(spec)
+        if len(_ENGINES) > _ENGINE_CACHE:
+            _ENGINES.popitem(last=False)
+    else:
+        _ENGINES.move_to_end(spec)
     return eng
 
 
+def _index_dtype(bound: int):
+    """Smallest signed dtype holding every value below ``bound`` (else Python ints)."""
+    for dt in (np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dt).max:
+            return dt
+    return object
+
+
 class _Engine:
+    """Arithmetic of one field on arrays of element indices."""
+
     def __init__(self, spec: FieldSpec):
         self.spec = spec
         self.p = spec.p
         self.e = spec.e
         self.q = spec.q
-        # mul keeps intermediate sums below 2*e*p^2; pick dtype accordingly
-        self.dtype = np.int32 if 2 * spec.e * spec.p * spec.p < 2**31 else np.int64
-        if spec.e >= 2:
-            rows = []
-            cur = _prem([0] * spec.e + [1], list(spec.modulus), spec.p)  # x^e mod f
-            for _ in range(spec.e - 1):
-                padded = list(cur) + [0] * (spec.e - len(cur))
-                rows.append(padded)
-                cur = _prem(_pmul([0, 1], _trim(list(cur)), spec.p), list(spec.modulus), spec.p)
-            self.reduc = np.array(rows, dtype=self.dtype)  # (e-1, e)
-        self._consts: dict[int, np.ndarray] = {}
-        self._all_elems = None
+        # prime fields multiply before reducing, extension fields add digits
+        self.dtype = _index_dtype(self.p * self.p if self.e == 1 else 2 * self.q)
+        self.tables = self.e > 1 and 4 * self.q * self.q <= _TABLE_BYTES
+        self._pows: dict[int, np.ndarray] = {}
+        self._decide: dict = {}
+        if self.e > 1:
+            self._build_log_exp()
+            idx = np.arange(self.q, dtype=np.int64)
+            self.NEG = self._digitwise(lambda d: -d, idx).astype(self.dtype)
 
-    # -- digit codec ----------------------------------------------------------
+    @functools.cached_property
+    def ADD(self):
+        idx = np.arange(self.q, dtype=np.int64)
+        add = self._digitwise(lambda d, f: d + f, idx[:, None], idx[None, :])
+        return add.astype(self.dtype)
 
-    def decode(self, idx) -> np.ndarray:
-        """Element indices -> digit array (e, k)."""
-        idx = np.asarray(idx)
-        out = np.empty((self.e, idx.shape[0]), dtype=self.dtype)
-        rem = idx
-        for i in range(self.e):
-            out[i] = rem % self.p
-            if i + 1 < self.e:
-                rem = rem // self.p
+    @functools.cached_property
+    def MUL(self):
+        idx = np.arange(self.q, dtype=np.int64)
+        return self._log_mul(idx[:, None], idx[None, :]).astype(self.dtype)
+
+    def _digitwise(self, op, *args):
+        """Apply op to the base-p digits of index arrays, digit by digit, mod p."""
+        p = self.p
+        out = 0
+        place = 1
+        for _ in range(self.e):
+            out = out + op(*(a // place for a in args)) % p * place
+            place *= p
         return out
 
-    def encode(self, dig) -> np.ndarray:
-        out = dig[self.e - 1].astype(np.int64)
-        for i in range(self.e - 2, -1, -1):
-            out = out * self.p + dig[i]
-        return out
+    def _build_log_exp(self):
+        """EXP[k] = g^k by doubling with the multiply-by-g^m matrix over F_p.
 
-    def const(self, value: int) -> np.ndarray:
-        arr = self._consts.get(value)
-        if arr is None:
-            arr = np.zeros((self.e, 1), dtype=self.dtype)
-            arr[0, 0] = value % self.p
-            self._consts[value] = arr
-        return arr
+        Digit row vectors times ``comp`` multiply by x; the matrix of the
+        generator g is then sum g_i comp^i, and rows [m, 2m) of the powers
+        are rows [0, m) times g^m.  LOG[0] is a sentinel 2q - 3 whose sums
+        all land in the zero tail of EXP, so ``EXP[LOG a + LOG b]`` needs
+        no mask for zero factors.
+        """
+        p, e, q = self.p, self.e, self.q
+        # float64 products are exact: e * p^2 stays far below 2^53 for any
+        # q whose O(q) tables fit in memory
+        comp = np.zeros((e, e))
+        comp[np.arange(e - 1), np.arange(1, e)] = 1
+        comp[e - 1] = [(-c) % p for c in self.spec.modulus[:e]]
+        step = np.zeros((e, e))
+        power = np.eye(e)
+        for gi in self.spec.digits(self.spec.generator()):
+            step = (step + gi * power) % p
+            power = power @ comp % p
+        digits = np.zeros((q - 1, e), dtype=np.int64)
+        digits[0, 0] = 1
+        m = 1
+        while m < q - 1:
+            k = min(m, q - 1 - m)
+            digits[m : m + k] = (digits[:k] @ step).astype(np.int64) % p
+            step = step @ step % p
+            m += k
+        exp = (digits @ (float(p) ** np.arange(e))).astype(np.int64)
+        log = np.full(q, -1, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        if (log[1:] < 0).any():
+            raise RuntimeError(f"{self.spec!r}: generator does not span the group")
+        log[0] = 2 * q - 3
+        self.LOG = log.astype(_index_dtype(4 * q))
+        tail = np.zeros(2 * q - 2, dtype=np.int64)
+        self.EXP = np.concatenate([exp, exp[: q - 2], tail]).astype(self.dtype)
 
-    def all_elements(self) -> np.ndarray:
-        if self._all_elems is None:
-            self._all_elems = self.decode(np.arange(self.q, dtype=np.int64))
-        return self._all_elems
+    def _log_mul(self, a, b):
+        return self.EXP[self.LOG[a] + self.LOG[b]]
 
-    # -- field arithmetic on digit arrays ------------------------------------
+    # -- field arithmetic on index arrays --------------------------------------
+
+    def const(self, value: int):
+        return np.asarray(value % self.p, dtype=self.dtype)
 
     def add(self, a, b):
-        return (a + b) % self.p
+        if self.e == 1:
+            return (a + b) % self.p
+        if self.tables:
+            return self.ADD[a, b]
+        return self._digitwise(lambda d, f: d + f, a, b).astype(self.dtype)
+
+    def sub(self, a, b):
+        if self.e == 1:
+            return (a - b) % self.p
+        return self.add(a, self.NEG[b])
 
     def neg(self, a):
-        return (self.p - a) % self.p
+        if self.e == 1:
+            return (-a) % self.p
+        return self.NEG[a]
 
     def mul(self, a, b):
         if self.e == 1:
-            return (a * b) % self.p
-        e = self.e
-        conv = [None] * (2 * e - 1)
-        for m in range(2 * e - 1):
-            lo = max(0, m - e + 1)
-            acc = None
-            for i in range(lo, min(m, e - 1) + 1):
-                prod = a[i] * b[m - i]
-                acc = prod if acc is None else acc + prod
-            conv[m] = acc
-        out_shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-        low = [np.broadcast_to(c, out_shape).copy() for c in conv[:e]]
-        for j in range(e - 1):
-            hi = conv[e + j] % self.p
-            for i in range(e):
-                r = int(self.reduc[j, i])
-                if r:
-                    low[i] = low[i] + hi * r
-        return np.stack([c % self.p for c in low])
+            return a * b % self.p
+        if self.tables:
+            return self.MUL[a, b]
+        return self._log_mul(a, b)
 
     def pow(self, a, n: int):
-        result = None
-        base = a
-        while n:
-            if n & 1:
-                result = base if result is None else self.mul(result, base)
-            n >>= 1
-            if n:
-                base = self.mul(base, base)
-        return result if result is not None else self.const(1)
+        if n == 0:
+            return np.ones_like(a)
+        if self.e == 1:
+            result = None
+            while n:
+                if n & 1:
+                    result = a if result is None else self.mul(result, a)
+                n >>= 1
+                if n:
+                    a = self.mul(a, a)
+            return result
+        vec = self._pows.get(n)
+        if vec is None:
+            logs = self.LOG[1:].astype(np.int64) * n % (self.q - 1)
+            vec = self._pows[n] = np.concatenate([[0], self.EXP[logs]]).astype(self.dtype)
+        return vec[a]
 
-    def eq0(self, a):
-        return (a == 0).all(axis=0)
+    # -- terms -----------------------------------------------------------------
 
-    # -- term evaluation ----------------------------------------------------------
-
-    def eval_term(self, t, env):
-        if isinstance(t, _HoistT):
-            return env[t.key]
+    def term(self, t, env):
         if isinstance(t, rl.Var):
             return env[t.name]
         if isinstance(t, rl.Const):
             return self.const(t.value)
-        if isinstance(t, rl.Add):
-            out = self.eval_term(t.args[0], env)
-            for a in t.args[1:]:
-                out = self.add(out, self.eval_term(a, env))
-            return out
+        if isinstance(t, (rl.Add, rl.Neg)):
+            return self.signed_sum(self.summand_values(t, env))
         if isinstance(t, rl.Mul):
-            out = self.eval_term(t.args[0], env)
-            for a in t.args[1:]:
-                out = self.mul(out, self.eval_term(a, env))
-            return out
-        if isinstance(t, rl.Neg):
-            return self.neg(self.eval_term(t.arg, env))
+            vals = sorted((self.term(a, env) for a in t.args), key=np.size)
+            return functools.reduce(self.mul, vals)
         if isinstance(t, rl.Pow):
-            return self.pow(self.eval_term(t.base, env), t.exp)
+            return self.pow(self.term(t.base, env), t.exp)
         raise TypeError(f"not a term: {t!r}")
 
-    # -- formula evaluation -----------------------------------------------------
+    def summand_values(self, t, env):
+        """(sign, value) per summand, smallest broadcast shape first."""
+        vals = [(s, self.term(u, env)) for s, u in _summands(t)]
+        return sorted(vals, key=lambda sv: np.size(sv[1]))
 
-    def eval_formula(self, phi, env, k: int) -> np.ndarray:
-        if isinstance(phi, _HoistF):
-            r = env[phi.key][0]
-            return np.broadcast_to(r, (k,)) if r.shape[0] != k else r
-        if isinstance(phi, rl.Eq0):
-            r = self.eq0(self.eval_term(phi.term, env))
-            return np.broadcast_to(r, (k,)) if r.shape[0] != k else r
-        if isinstance(phi, rl.Not):
-            return ~self.eval_formula(phi.arg, env, k)
-        if isinstance(phi, rl.And):
-            a = self.eval_formula(phi.lhs, env, k)
-            return self._guarded(phi.rhs, env, k, a, combine="and")
-        if isinstance(phi, rl.Or):
-            a = self.eval_formula(phi.lhs, env, k)
-            return self._guarded(phi.rhs, env, k, a, combine="or")
-        if isinstance(phi, rl.Implies):
-            a = self.eval_formula(phi.lhs, env, k)
-            return self._guarded(phi.rhs, env, k, a, combine="implies")
-        if isinstance(phi, (rl.Exists, rl.Forall)):
-            return self._eval_quant(phi, env, k)
-        raise TypeError(f"not a formula: {phi!r}")
-
-    def _guarded(self, rhs, env, k, a, combine):
-        """Evaluate rhs only on the rows where it can still matter."""
-        # and: rhs matters where lhs holds; or: where it fails;
-        # implies: where the antecedent holds
-        active = ~a if combine == "or" else a
-        na = int(active.sum())
-        if combine == "and":
-            base = np.zeros(k, dtype=bool)
-        elif combine == "or":
-            base = a.copy()
-        else:  # implies: rows with lhs false are True
-            base = ~a
-        if na == 0:
-            return base
-        if na == k:
-            r = self.eval_formula(rhs, env, k)
-            if combine == "and":
-                return a & r
-            return base | r
-        if na > 0.75 * k:
-            r = self.eval_formula(rhs, env, k)
-            if combine == "and":
-                return a & r
-            return base | (active & r)
-        idx = np.flatnonzero(active)
-        sub = {v: (arr if arr.shape[1] == 1 else arr[:, idx]) for v, arr in env.items()}
-        r = self.eval_formula(rhs, sub, na)
-        base[idx[r]] = True
-        return base
-
-    # -- quantifiers -----------------------------------------------------------------
-
-    def _eval_quant(self, node, env, k):
-        exists = isinstance(node, rl.Exists)
-        x = node.var
-        body = node.body
-        if x not in _fvars(body):
-            # the field is nonempty, so both quantifiers reduce to the body
-            return self.eval_formula(body, env, k)
-        fast = self._additive_counts(node, env, k)
-        if fast is not None:
-            return fast
-        live = dict(env)
-        body = self._hoist(body, x, live, k)
-        result = np.zeros(k, dtype=bool) if exists else np.ones(k, dtype=bool)
-        alive = np.arange(k)
-        for xv in range(self.q):
-            live[x] = self.decode(np.array([xv], dtype=np.int64))
-            r = self.eval_formula(body, live, alive.shape[0])
-            hit = r if exists else ~r
-            nh = int(hit.sum())
-            if nh:
-                result[alive[hit]] = exists
-                keep = ~hit
-                alive = alive[keep]
-                if alive.shape[0] == 0:
-                    break
-                for v, arr in live.items():
-                    if v != x and arr.shape[1] != 1:
-                        live[v] = arr[:, keep]
-        return result
-
-    def _hoist(self, node, x, env, k):
-        """Replace maximal subtrees free of every pending quantifier variable.
-
-        "Pending" means x itself plus any inner quantifier variable whose
-        binder lies between the hoist point and the subtree; those have no
-        value in env yet, so subtrees mentioning them must stay in place.
-        """
-
-        def store_term(t):
-            key = f"\0t{len(env)}"
-            env[key] = self.eval_term(t, env)
-            return _HoistT(key)
-
-        def store_formula(f):
-            key = f"\0f{len(env)}"
-            val = self.eval_formula(f, env, k)
-            env[key] = val[None, :]
-            return _HoistF(key)
-
-        def walk_term(t, pending):
-            if isinstance(t, (rl.Var, rl.Const, _HoistT)):
-                return t
-            if not (_tvars(t) & pending):
-                return store_term(t)
-            if isinstance(t, rl.Add):
-                return rl.Add(tuple(walk_term(a, pending) for a in t.args))
-            if isinstance(t, rl.Mul):
-                return rl.Mul(tuple(walk_term(a, pending) for a in t.args))
-            if isinstance(t, rl.Neg):
-                return rl.Neg(walk_term(t.arg, pending))
-            if isinstance(t, rl.Pow):
-                return rl.Pow(walk_term(t.base, pending), t.exp)
-            raise TypeError(f"not a term: {t!r}")
-
-        def walk(f, pending):
-            if isinstance(f, _HoistF):
-                return f
-            if not (_fvars(f) & pending):
-                return store_formula(f)
-            if isinstance(f, rl.Eq0):
-                return rl.Eq0(walk_term(f.term, pending))
-            if isinstance(f, rl.Not):
-                return rl.Not(walk(f.arg, pending))
-            if isinstance(f, rl.And):
-                return rl.And(walk(f.lhs, pending), walk(f.rhs, pending))
-            if isinstance(f, rl.Or):
-                return rl.Or(walk(f.lhs, pending), walk(f.rhs, pending))
-            if isinstance(f, rl.Implies):
-                return rl.Implies(walk(f.lhs, pending), walk(f.rhs, pending))
-            if isinstance(f, (rl.Exists, rl.Forall)):
-                cls = type(f)
-                return cls(f.var, walk(f.body, pending | {f.var}))
-            raise TypeError(f"not a formula: {f!r}")
-
-        return walk(node, {x})
-
-    def _additive_counts(self, node, env, k):
-        """Match-counting evaluation of a quantified additively split atom.
-
-        Applies when the body is t = 0 or t != 0 and every summand of t
-        involves either only the quantified variable or none of it.  The
-        number of x in the field with x-part(x) = -(x-free part) decides
-        all four quantifier/negation combinations at once.
-        """
-        exists = isinstance(node, rl.Exists)
-        x = node.var
-        body = node.body
-        negated = False
-        if isinstance(body, rl.Not):
-            negated = True
-            body = body.arg
-        if not isinstance(body, rl.Eq0):
-            return None
-        xonly = []
-        xfree = []
-        for sign, summand in _summands(body.term):
-            vs = _tvars(summand)
-            if x in vs:
-                if vs != {x}:
-                    return None
-                xonly.append((sign, summand))
-            else:
-                xfree.append((sign, summand))
-        if not xonly:
-            return None  # x-free body; handled by the caller
-
-        xenv = {x: self.all_elements()}
-        sval = self._signed_sum(xonly, xenv)  # (e, q)
-        hval = self._signed_sum(xfree, env) if xfree else self.const(0)
-        uniq, counts = np.unique(self.encode(sval), return_counts=True)
-        target = self.encode(self.neg(hval))
-        if target.shape[0] == 1:
-            target = np.broadcast_to(target, (k,))
-        pos = np.searchsorted(uniq, target)
-        pos_c = np.minimum(pos, uniq.shape[0] - 1)
-        valid = uniq[pos_c] == target
-        cnt = np.where(valid, counts[pos_c], 0)
-        if exists and not negated:
-            return cnt >= 1
-        if exists and negated:
-            return cnt < self.q
-        if not exists and not negated:
-            return cnt == self.q
-        return cnt == 0
-
-    def _signed_sum(self, signed_terms, env):
-        out = None
-        for sign, t in signed_terms:
-            v = self.eval_term(t, env)
-            if sign < 0:
-                v = self.neg(v)
-            out = v if out is None else self.add(out, v)
+    def signed_sum(self, vals):
+        (sign, out), *rest = vals
+        if sign < 0:
+            out = self.neg(out)
+        for sign, v in rest:
+            out = self.add(out, v) if sign > 0 else self.sub(out, v)
         return out
+
+    def is_zero(self, t, env):
+        """Truth of t = 0; the largest summand is compared, not added."""
+        vals = self.summand_values(t, env)
+        if len(vals) == 1:
+            return vals[0][1] == 0
+        rest = self.signed_sum(vals[:-1])
+        sign, big = vals[-1]
+        return (rest if sign < 0 else self.neg(rest)) == big
+
+    # -- additive quantifiers --------------------------------------------------
+
+    def decision(self, node, split):
+        """Truth of ``node`` per value h of its x-free part, a bool vector of length q.
+
+        Built once per node and field from the value multiset of the x-part.
+        """
+        vec = self._decide.get(node)
+        if vec is None:
+            xonly, _, negated = split
+            elems = np.arange(self.q, dtype=self.dtype)
+            sval = self.signed_sum([(s, self.term(u, {node.var: elems})) for s, u in xonly])
+            cnt = np.bincount(np.broadcast_to(sval, (self.q,)).astype(np.int64), minlength=self.q)
+            cnt = cnt[self.neg(np.arange(self.q, dtype=self.dtype))]  # x-part = -h
+            exists = isinstance(node, rl.Exists)
+            if exists:
+                vec = cnt < self.q if negated else cnt >= 1
+            else:
+                vec = cnt == 0 if negated else cnt == self.q
+            self._decide[node] = vec
+        return vec
 
 
 def _summands(t, sign=1):
@@ -422,28 +268,174 @@ def _summands(t, sign=1):
         yield (sign, t)
 
 
+@functools.lru_cache(maxsize=1024)
+def _additive_split(node):
+    """(x-only summands, x-free summands, negated) of a quantified atom, or None.
+
+    Applies when the body is t = 0 or t != 0 and every summand of t
+    involves either only the quantified variable or none of it.
+    """
+    body = node.body
+    negated = isinstance(body, rl.Not)
+    if negated:
+        body = body.arg
+    if not isinstance(body, rl.Eq0):
+        return None
+    xonly, xfree = [], []
+    for sign, u in _summands(body.term):
+        vs = rl.term_vars(u)
+        if node.var not in vs:
+            xfree.append((sign, u))
+        elif vs == {node.var}:
+            xonly.append((sign, u))
+        else:
+            return None
+    return (tuple(xonly), tuple(xfree), negated) if xonly else None
+
+
+@functools.lru_cache(maxsize=1024)
+def _depth(phi) -> int:
+    """Nesting depth of the quantifier axes evaluating phi materialises."""
+    if isinstance(phi, rl.Eq0):
+        return 0
+    if isinstance(phi, rl.Not):
+        return _depth(phi.arg)
+    if isinstance(phi, (rl.And, rl.Or, rl.Implies)):
+        return max(_depth(phi.lhs), _depth(phi.rhs))
+    if isinstance(phi, (rl.Exists, rl.Forall)):
+        if phi.var not in rl.free_vars(phi.body) or _additive_split(phi):
+            return _depth(phi.body)
+        return 1 + _depth(phi.body)
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+def _bound_names(phi, out):
+    if isinstance(phi, rl.Not):
+        _bound_names(phi.arg, out)
+    elif isinstance(phi, (rl.And, rl.Or, rl.Implies)):
+        _bound_names(phi.lhs, out)
+        _bound_names(phi.rhs, out)
+    elif isinstance(phi, (rl.Exists, rl.Forall)):
+        if phi.var not in out:
+            out.append(phi.var)
+        _bound_names(phi.body, out)
+    return out
+
+
+def _axis_range(lo, hi, axis, ndim, dtype):
+    shape = [1] * ndim
+    shape[axis] = hi - lo
+    return np.arange(lo, hi, dtype=dtype).reshape(shape)
+
+
+class _Chunk:
+    """One chunk's evaluation: env maps each variable to its broadcast value array."""
+
+    def __init__(self, eng, env, axes, rows):
+        self.eng = eng
+        self.env = env
+        self.axes = axes
+        self.rows = rows
+
+    def formula(self, phi):
+        if isinstance(phi, rl.Eq0):
+            return self.eng.is_zero(phi.term, self.env)
+        if isinstance(phi, rl.Not):
+            return ~self.formula(phi.arg)
+        if isinstance(phi, rl.And):
+            a = self.formula(phi.lhs)
+            return a & self.formula(phi.rhs) if a.any() else a
+        if isinstance(phi, rl.Or):
+            a = self.formula(phi.lhs)
+            return a | self.formula(phi.rhs) if not a.all() else a
+        if isinstance(phi, rl.Implies):
+            a = self.formula(phi.lhs)
+            return ~a | self.formula(phi.rhs) if a.any() else ~a
+        if isinstance(phi, (rl.Exists, rl.Forall)):
+            return self.quantifier(phi)
+        raise TypeError(f"not a formula: {phi!r}")
+
+    def quantifier(self, node):
+        eng = self.eng
+        x, body = node.var, node.body
+        if x not in rl.free_vars(body):
+            return self.formula(body)  # the field is nonempty
+        split = _additive_split(node)
+        if split is not None:
+            xfree = [(s, eng.term(u, self.env)) for s, u in split[1]]
+            return eng.decision(node, split)[eng.signed_sum(xfree) if xfree else 0]
+        exists = isinstance(node, rl.Exists)
+        axis = self.axes[x]
+        ndim = len(self.axes)
+        q = eng.q
+        block = max(1, min(q, _CHUNK_ELEMS // (self.rows * q ** _depth(body))))
+        outer = self.env.get(x)
+        acc = None
+        for lo in range(0, q, block):
+            self.env[x] = _axis_range(lo, min(lo + block, q), axis, ndim, eng.dtype)
+            r = self.formula(body)
+            if np.ndim(r) and r.shape[axis] > 1:
+                r = r.any(axis=axis, keepdims=True) if exists else r.all(axis=axis, keepdims=True)
+            acc = r if acc is None else (acc | r if exists else acc & r)
+            if acc.all() if exists else not acc.any():
+                break
+        if outer is None:
+            del self.env[x]
+        else:
+            self.env[x] = outer
+        return acc
+
+
 # -- chunked drivers ---------------------------------------------------------------
 
 
-def _chunk_rows(e: int) -> int:
-    return max(1024, _CHUNK_ELEMS // e)
-
-
-def _eval_chunk(dset, spec, lo, hi, collect):
-    eng = get_engine(spec)
+def _chunk_plan(dset, spec):
+    """(k, ranges): chunks are flat-index ranges over k full trailing axes."""
     n = len(dset.free_vars)
     q = spec.q
-    idx = np.arange(lo, hi, dtype=np.int64)
+    if n == 0:
+        return 0, [(0, 1)]
+    rows = max(1, _CHUNK_ELEMS // q ** _depth(dset.formula))
+    k = 0
+    while k < n - 1 and q ** (k + 1) <= rows:
+        k += 1
+    width = q**k
+    step = max(1, min(q, rows // width))  # values of the sliced axis per chunk
+    ranges = [
+        (lo + a * width, lo + min(a + step, q) * width)
+        for lo in range(0, q**n, q * width)
+        for a in range(0, q, step)
+    ]
+    return k, ranges
+
+
+def _eval_chunk(dset, spec, k, lo, hi, collect):
+    eng = get_engine(spec)
+    free = dset.free_vars
+    names = list(free) + [v for v in _bound_names(dset.formula, []) if v not in free]
+    axes = {v: i for i, v in enumerate(names)}
+    n, q, ndim = len(free), spec.q, len(names)
+    shape = [1] * ndim
     env = {}
-    for j, v in enumerate(dset.free_vars):
-        div = q ** (n - 1 - j)
-        env[v] = eng.decode((idx // div) % q)
-    truth = eng.eval_formula(dset.formula, env, hi - lo)
-    count = int(truth.sum())
+    j = n - 1 - k  # the sliced axis
+    if j >= 0:
+        width = q**k
+        prefix, a = divmod(lo // width, q)
+        b = a + (hi - lo) // width
+        for i in range(j - 1, -1, -1):
+            prefix, digit = divmod(prefix, q)
+            env[free[i]] = np.asarray(digit, dtype=eng.dtype)
+        env[free[j]] = _axis_range(a, b, j, ndim, eng.dtype)
+        shape[j] = b - a
+    for i in range(j + 1, n):
+        env[free[i]] = _axis_range(0, q, i, ndim, eng.dtype)
+        shape[i] = q
+    rows = hi - lo
+    truth = _Chunk(eng, env, axes, rows).formula(dset.formula)
     if not collect:
-        return count, None
-    sat = idx[truth]
-    return count, sat
+        return int(np.count_nonzero(truth)) * (rows // np.size(truth)), None
+    sat = np.flatnonzero(np.broadcast_to(truth, shape)) + lo
+    return sat.shape[0], sat
 
 
 def _budget_check(dset, spec, max_evals):
@@ -454,34 +446,23 @@ def _budget_check(dset, spec, max_evals):
             f"enumerating {dset.name} over {spec!r} needs {total} assignments "
             f"(budget {max_evals})"
         )
-    return total
 
 
 def _run_chunks(dset, spec, collect, jobs, max_evals):
-    total = _budget_check(dset, spec, max_evals)
-    rows = _chunk_rows(spec.e)
-    ranges = [(lo, min(lo + rows, total)) for lo in range(0, total, rows)]
+    _budget_check(dset, spec, max_evals)
+    k, ranges = _chunk_plan(dset, spec)
+    tasks = [(dset, spec, k, lo, hi, collect) for lo, hi in ranges]
     if jobs > 1 and len(ranges) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(
-                pool.map(
-                    _chunk_worker,
-                    [(dset, spec, lo, hi, collect) for lo, hi in ranges],
-                    chunksize=1,
-                )
-            )
+            parts = list(pool.map(_eval_chunk, *zip(*tasks), chunksize=1))
     else:
-        parts = [_eval_chunk(dset, spec, lo, hi, collect) for lo, hi in ranges]
+        parts = [_eval_chunk(*t) for t in tasks]
     count = sum(c for c, _ in parts)
     if not collect:
         return count, None
-    sats = [s for _, s in parts if s is not None and s.shape[0]]
+    sats = [s for _, s in parts if s.shape[0]]
     sat = np.concatenate(sats) if sats else np.empty(0, dtype=np.int64)
     return count, sat
-
-
-def _chunk_worker(args):
-    return _eval_chunk(*args)
 
 
 def count_points_vec(dset, spec, *, jobs=1, max_evals=DEFAULT_MAX_EVALS) -> int:

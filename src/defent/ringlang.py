@@ -473,7 +473,8 @@ def _term_str(t, prec=0):
         s = "-" + _term_str(t.arg, 3)
         return f"({s})" if prec > 3 else s
     if isinstance(t, Pow):
-        return f"{_term_str(t.base, 5)}^{t.exp}"
+        s = f"{_term_str(t.base, 5)}^{t.exp}"
+        return f"({s})" if prec > 4 else s
     raise TypeError(f"not a term: {t!r}")
 
 

@@ -2,6 +2,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from defent import (
@@ -23,7 +24,8 @@ from defent import (
     parse_set,
     tower_census,
 )
-from defent.census import CensusTable
+from defent.census import CensusTable, collect_points
+from defent.enumeration import _chunk_plan
 from defent.polymatroid import Profile
 
 
@@ -219,11 +221,16 @@ def test_detect_period_undetected():
         detect_period(CensusTable("bogus", 3, rows), 2)
 
 
-def test_determinism_across_jobs(hyp_set, sqrt_set):
+def test_determinism_across_jobs(hyp_set, sqrt_set, kr_set):
     a = tower_census(sqrt_set, 3, 4)
     b = tower_census(sqrt_set, 3, 4, jobs=2)
     assert a == b
     assert count_points(hyp_set, field(7), jobs=3) == 13
+    # a set whose grid the pool really splits
+    _, chunks = _chunk_plan(kr_set, field(7))
+    assert len(chunks) > 1
+    serial = collect_points(kr_set, field(7))
+    assert np.array_equal(serial, collect_points(kr_set, field(7), jobs=2))
 
 
 def test_budget_guard(kr_set):

@@ -1,0 +1,161 @@
+"""The enumeration engine against independent references.
+
+The references are the scalar evaluator (ringlang.eval_formula) and gf's
+polynomial arithmetic (FieldSpec.add/mul/neg/pow); neither shares code
+with the vectorised engine.
+"""
+
+import itertools
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from defent import count_points, eval_formula, field
+from defent import enumeration
+from defent import ringlang as rl
+from defent.census import collect_points
+from defent.enumeration import get_engine
+
+FUZZ_FIELDS = (field(2), field(3), field(2, 2), field(5), field(2, 3), field(3, 2))
+FUZZ_WORK = 4000  # q^(free variables + nested quantifiers) the oracle may walk
+
+
+@st.composite
+def fuzz_cases(draw):
+    """A random definable set (depth <= 4) and a field small enough for the oracle."""
+    fresh = (f"b{i}" for i in itertools.count())
+    nest = [0]
+
+    def term(scope, depth):
+        if depth == 0 or draw(st.integers(0, 2)) == 0:
+            if draw(st.booleans()):
+                return rl.Var(draw(st.sampled_from(scope)))
+            return rl.Const(draw(st.integers(0, 4)))
+        kind = draw(st.sampled_from(("add", "mul", "neg", "pow")))
+        if kind == "neg":
+            return rl.Neg(term(scope, depth - 1))
+        if kind == "pow":
+            return rl.Pow(term(scope, depth - 1), draw(st.integers(1, 4)))
+        args = tuple(term(scope, depth - 1) for _ in range(draw(st.integers(2, 3))))
+        return (rl.Add if kind == "add" else rl.Mul)(args)
+
+    def formula(scope, depth, level):
+        nest[0] = max(nest[0], level)
+        kinds = ("atom", "not", "and", "or", "implies", "exists", "forall")
+        kind = draw(st.sampled_from(kinds[:1] if depth == 0 else kinds))
+        if kind == "atom":
+            return rl.Eq0(term(scope, 2))
+        if kind == "not":
+            return rl.Not(formula(scope, depth - 1, level))
+        if kind in ("exists", "forall"):
+            v = next(fresh)
+            body = formula(scope + (v,), depth - 1, level + 1)
+            return (rl.Exists if kind == "exists" else rl.Forall)(v, body)
+        cls = {"and": rl.And, "or": rl.Or, "implies": rl.Implies}[kind]
+        return cls(formula(scope, depth - 1, level), formula(scope, depth - 1, level))
+
+    free = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    phi = formula(free, 4, 0)
+    fits = [s for s in FUZZ_FIELDS if s.q ** (len(free) + nest[0]) <= FUZZ_WORK]
+    return rl.DefinableSet("F", free, phi), draw(st.sampled_from(fits))
+
+
+def oracle_points(dset, spec):
+    n = len(dset.free_vars)
+    pts = [
+        a
+        for a in itertools.product(spec.elements(), repeat=n)
+        if eval_formula(dset.formula, dict(zip(dset.free_vars, a)), spec)
+    ]
+    return np.array(pts, dtype=np.int64).reshape(-1, n).T
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(fuzz_cases())
+def test_engine_matches_scalar_evaluator(case):
+    dset, spec = case
+    want = oracle_points(dset, spec)
+    assert count_points(dset, spec) == want.shape[1]
+    assert np.array_equal(collect_points(dset, spec), want)
+    # tiny chunks: many chunks per grid and quantifier axes walked in blocks
+    with mock.patch.object(enumeration, "_CHUNK_ELEMS", 3):
+        assert count_points(dset, spec) == want.shape[1]
+        assert np.array_equal(collect_points(dset, spec), want)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(fuzz_cases())
+def test_printed_sets_reparse_to_the_same_points(case):
+    dset, spec = case
+    if set(rl.free_vars(dset.formula)) != set(dset.free_vars):
+        return  # parse_set rejects declared variables that do not occur
+    text = rl.set_str(dset)
+    again = rl.parse_set(text)
+    assert rl.set_str(again) == text
+    assert np.array_equal(collect_points(again, spec), collect_points(dset, spec))
+
+
+# -- field tables against gf ---------------------------------------------------
+
+SMALL_FIELDS = [field(p, e) for p, e in [
+    (2, 1), (3, 1), (7, 1), (61, 1),
+    (2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (7, 2), (2, 6),
+]]
+
+
+@pytest.mark.parametrize("spec", SMALL_FIELDS, ids=repr)
+def test_tables_match_field_arithmetic_exhaustive(spec):
+    eng = get_engine(spec)
+    q = spec.q
+    a, b = (g.astype(eng.dtype) for g in np.meshgrid(np.arange(q), np.arange(q), indexing="ij"))
+    add = np.array([[spec.add(x, y) for y in range(q)] for x in range(q)])
+    mul = np.array([[spec.mul(x, y) for y in range(q)] for x in range(q)])
+    neg = np.array([spec.neg(x) for x in range(q)])
+    assert np.array_equal(eng.add(a, b), add)
+    assert np.array_equal(eng.mul(a, b), mul)
+    assert np.array_equal(eng.sub(a, b), add[np.arange(q)[:, None], neg[None, :]])
+    assert np.array_equal(eng.neg(a[:, 0]), neg)
+    for n in (1, 2, 3, 5):
+        assert np.array_equal(eng.pow(a[:, 0], n), [spec.pow(x, n) for x in range(q)])
+    if spec.e > 1:
+        assert eng.tables
+        assert np.array_equal(eng.ADD, add) and np.array_equal(eng.MUL, mul)
+        assert np.array_equal(eng._log_mul(a, b), mul)
+        assert np.array_equal(eng.NEG, neg)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_tables_match_field_arithmetic_sampled(p):
+    spec = field(p, 6)
+    eng = get_engine(spec)
+    q = spec.q
+    assert eng.tables == (q <= 1024)
+    exp = eng.EXP[: q - 1].astype(np.int64)
+    assert np.array_equal(np.sort(exp), np.arange(1, q))
+    assert np.array_equal(eng.LOG[exp], np.arange(q - 1))
+    rng = np.random.default_rng(p)
+    a, b = rng.integers(0, q, size=(2, 1500))
+    a[:20] = 0
+    b[10:30] = 0
+    a, b = a.astype(eng.dtype), b.astype(eng.dtype)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert eng.add(a, b).tolist() == [spec.add(x, y) for x, y in pairs]
+    assert eng.sub(a, b).tolist() == [spec.sub(x, y) for x, y in pairs]
+    assert eng.mul(a, b).tolist() == [spec.mul(x, y) for x, y in pairs]
+    assert eng._log_mul(a, b).tolist() == [spec.mul(x, y) for x, y in pairs]
+    assert eng.neg(a).tolist() == [spec.neg(x) for x in a.tolist()]
+    assert eng.pow(a, 3).tolist() == [spec.pow(x, 3) for x in a.tolist()]
+
+
+def test_engine_cache_is_bounded():
+    specs = [field(p) for p in (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)]
+    assert len(specs) > enumeration._ENGINE_CACHE
+    for spec in specs:
+        get_engine(spec)
+    assert list(enumeration._ENGINES) == specs[-enumeration._ENGINE_CACHE:]
+    get_engine(specs[-enumeration._ENGINE_CACHE])  # a hit moves to the back
+    assert list(enumeration._ENGINES)[-1] == specs[-enumeration._ENGINE_CACHE]
+

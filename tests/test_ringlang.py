@@ -120,6 +120,7 @@ def test_round_trip_identity(kr_set, sqrt_set=None):
         "set T(x, y) := ~(x = 0 \\/ y = 0) /\\ x + y != 2",
         "set U(x) := forall t. t*x = 0 -> x = 0",
         "set W(x, y) := -x^2 - (x - y)*3 = y \\/ x != y",
+        "set P(x) := (x^2)^3 = 1",
     ]
     for text in texts:
         d1 = parse_set(text)
