@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import enumeration
+from . import enumeration, polymatroid
 from .enumeration import DEFAULT_MAX_EVALS
 from .errors import DomainError, EstimationError
 from .extend import Distribution
@@ -119,13 +119,15 @@ def collect_points(dset: DefinableSet, spec: FieldSpec, *, jobs: int = 1,
 
 
 def _subset_columns(dset, I):
+    """Column indices and labels of the variables I, in declaration order."""
     I = list(I)
     unknown = [v for v in I if v not in dset.free_vars]
     if unknown:
         raise DomainError(f"{unknown[0]!r} is not a free variable of {dset.name}")
     if len(set(I)) != len(I):
         raise DomainError("projection variables must be distinct")
-    return [j for j, v in enumerate(dset.free_vars) if v in set(I)]
+    cols = [j for j, v in enumerate(dset.free_vars) if v in set(I)]
+    return cols, tuple(dset.free_vars[j] for j in cols)
 
 
 def _projection_keys(points: np.ndarray, cols, q: int) -> np.ndarray:
@@ -154,8 +156,7 @@ def _histogram_from_points(points, cols, subset_labels, q):
 def fiber_histogram(dset: DefinableSet, I, spec: FieldSpec, *, jobs: int = 1,
                     max_evals: int = DEFAULT_MAX_EVALS) -> FiberHistogram:
     """Exact fiber-size census of the projection of X(G) onto the variables I."""
-    cols = _subset_columns(dset, I)
-    labels = [v for v in dset.free_vars if v in set(I)]
+    cols, labels = _subset_columns(dset, I)
     points = collect_points(dset, spec, jobs=jobs, max_evals=max_evals)
     return _histogram_from_points(points, cols, labels, spec.q)
 
@@ -179,21 +180,18 @@ def entropy_profile(dset: DefinableSet, spec: FieldSpec, *, jobs: int = 1,
     total = int(points.shape[1])
     if total == 0:
         raise DomainError(f"empty definable set: {dset.name} over {spec!r}")
-    n = len(dset.free_vars)
     entries = {frozenset(): LogValue.zero()}
-    for mask in range(1, 1 << n):
-        labels = [dset.free_vars[j] for j in range(n) if mask >> j & 1]
-        cols = [j for j in range(n) if mask >> j & 1]
-        fh = _histogram_from_points(points, cols, labels, spec.q)
-        entries[frozenset(labels)] = _entropy_from_buckets(fh.buckets, total)
+    for ks in polymatroid.subsets(dset.free_vars):
+        if ks:
+            fh = _histogram_from_points(points, *_subset_columns(dset, ks), spec.q)
+            entries[ks] = _entropy_from_buckets(fh.buckets, total)
     return Profile(dset.free_vars, entries)
 
 
 def marginal_distribution(dset: DefinableSet, I, spec: FieldSpec, *, jobs: int = 1,
                           max_evals: int = DEFAULT_MAX_EVALS) -> Distribution:
     """The marginal of the uniform distribution on X(G) on the variables I."""
-    cols = _subset_columns(dset, I)
-    labels = [v for v in dset.free_vars if v in set(I)]
+    cols, labels = _subset_columns(dset, I)
     points = collect_points(dset, spec, jobs=jobs, max_evals=max_evals)
     total = int(points.shape[1])
     if total == 0:
@@ -224,8 +222,7 @@ def tower_census(dset: DefinableSet, p: int, e_max: int, subsets=None, *,
             points = collect_points(dset, spec, jobs=jobs, max_evals=max_evals)
             fibers = {}
             for sub in subsets:
-                cols = _subset_columns(dset, sub)
-                labels = tuple(v for v in dset.free_vars if v in set(sub))
+                cols, labels = _subset_columns(dset, sub)
                 fibers[labels] = _histogram_from_points(points, cols, labels, spec.q)
             count = int(points.shape[1])
             rows.append(CensusRow(e, spec.q, count, fibers))

@@ -79,6 +79,14 @@ def _parse_blocks(text: str) -> dict:
     return blocks
 
 
+def _rational(text: str) -> str:
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+    return text
+
+
 def _sign_json(v: LogValue) -> dict:
     return {"value": v.to_json(), "sign": v.sign(), "float": v.to_float().value}
 
@@ -309,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kr", help="KR closed forms / essential-conditionality scan")
     p.add_argument("--q", type=int)
-    p.add_argument("--eps")
+    p.add_argument("--eps", type=_rational)
     p.add_argument("--classical", action="store_true",
                    help="classical D(C:D|A) = log((q-1)/(q-2)) instead of the enumeration-exact value")
     p.add_argument("--scan", action="store_true")

@@ -16,18 +16,23 @@ the functional DSL.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import DomainError
 from .logval import LogValue, log_of_rat
 from .polymatroid import (
-    LinFunctional,
     Profile,
     cond_entropy_functional,
+    cond_mi,
+    cond_mi_functional,
+    entries_from_json,
+    entries_to_json,
     eval_functional,
     is_polymatroid,
+    parse_functional,
+    subset_key,
+    subsets,
 )
 
 _ZERO = LogValue.zero()
@@ -120,15 +125,11 @@ class Distribution:
 
 def dist_entropy_profile(p: Distribution) -> Profile:
     """Exact entropy profile of a rational distribution."""
-    gs = p.ground_set
-    entries = {frozenset(): _ZERO}
-    for r in range(1, len(gs) + 1):
-        for comb in itertools.combinations(gs, r):
-            h = _ZERO
-            for pr in p.marginal(comb).values():
-                h = h + log_of_rat(1 / pr).scale(pr)
-            entries[frozenset(comb)] = h
-    return Profile(gs, entries)
+    entries = {
+        ks: sum((log_of_rat(1 / pr).scale(pr) for pr in p.marginal(ks).values()), _ZERO)
+        for ks in subsets(p.ground_set)
+    }
+    return Profile(p.ground_set, entries)
 
 
 # -- conditional product (the copy construction) -----------------------------------
@@ -198,10 +199,7 @@ class PartialProfile:
 
     def __post_init__(self):
         full = frozenset(self.ground_set)
-        canon = {}
-        for r in range(len(self.ground_set) + 1):
-            for comb in itertools.combinations(self.ground_set, r):
-                canon[frozenset(comb)] = None
+        canon = dict.fromkeys(subsets(self.ground_set))
         for ks, val in self.entries.items():
             ks = frozenset((ks,)) if isinstance(ks, str) else frozenset(ks)
             if not ks <= full:
@@ -217,32 +215,20 @@ class PartialProfile:
         return {ks: v for ks, v in self.entries.items() if v is not None}
 
     def subset_key(self, ks):
-        order = {v: i for i, v in enumerate(self.ground_set)}
-        return ",".join(sorted(ks, key=order.get))
+        return subset_key(self.ground_set, ks)
 
     def to_json(self) -> dict:
         return {
             "ground_set": list(self.ground_set),
-            "entries": {
-                self.subset_key(ks): (None if v is None else v.to_json())
-                for ks, v in sorted(
-                    self.entries.items(), key=lambda kv: (len(kv[0]), self.subset_key(kv[0]))
-                )
-            },
+            "entries": entries_to_json(self.ground_set, self.entries),
             "constraints": [f.render() for f in self.constraints],
         }
 
     @classmethod
     def from_json(cls, obj) -> "PartialProfile":
-        from .polymatroid import parse_functional
-
-        entries = {}
-        for key, val in obj["entries"].items():
-            ks = frozenset(key.split(",")) if key else frozenset()
-            entries[ks] = None if val is None else LogValue.from_json(val)
         return cls(
             tuple(obj["ground_set"]),
-            entries,
+            entries_from_json(obj["entries"]),
             [parse_functional(s) for s in obj.get("constraints", [])],
         )
 
@@ -272,15 +258,11 @@ def slepian_wolf_partial(h: Profile, L, alpha: LogValue, *, z_label: str = "z") 
     z = _fresh_label(set(h.ground_set), z_label)
     I = frozenset(h.ground_set) - set(L)
     ground = h.ground_set + (z,)
-    entries: dict = {}
-    for ks in h.subsets():
-        entries[ks] = h[ks]
-    for r in range(len(L) + 1):
-        for comb in itertools.combinations(sorted(L), r):
-            k_set = frozenset(comb)
-            a = alpha + h[k_set]
-            b = h[I | k_set]
-            entries[k_set | {z}] = a if (a - b).sign() <= 0 else b
+    entries = h.entries()
+    for k_set in subsets(sorted(L)):
+        a = alpha + h[k_set]
+        b = h[I | k_set]
+        entries[k_set | {z}] = a if (a - b).sign() <= 0 else b
     for ks in h.subsets():
         if ks >= I:
             entries[ks | {z}] = h[ks]
@@ -304,14 +286,12 @@ def ak_partial(h: Profile, L, *, z_label: str = "z") -> PartialProfile:
     z = _fresh_label(set(h.ground_set), z_label)
     I = frozenset(h.ground_set) - set(L)
     ground = h.ground_set + (z,)
-    entries = {ks: h[ks] for ks in h.subsets()}
+    entries = h.entries()
     constraints = [cond_entropy_functional((z,), L)]
-    for r in range(len(L) + 1):
-        for comb in itertools.combinations(sorted(L), r):
-            k_set = frozenset(comb)
-            constraints.append(
-                cond_entropy_functional(k_set, (z,)) - cond_entropy_functional(k_set, I)
-            )
+    for k_set in subsets(sorted(L)):
+        constraints.append(
+            cond_entropy_functional(k_set, (z,)) - cond_entropy_functional(k_set, I)
+        )
     return PartialProfile(ground, entries, constraints)
 
 
@@ -326,17 +306,15 @@ def ak_canonical_witness(h: Profile, L, *, z_label: str = "z") -> Profile:
     L = tuple(L)
     z = _fresh_label(set(h.ground_set), z_label)
     I = frozenset(h.ground_set) - set(L)
-    full = frozenset(h.ground_set)
-    c = h[frozenset(L)] + h[I] - h[full]
-    entries = {}
+    c = cond_mi(h, L, I)
+    entries = h.entries()
     for ks in h.subsets():
-        entries[ks] = h[ks]
         lifted = c + h[(ks & frozenset(L)) | I] - h[I]
         entries[ks | {z}] = lifted if (lifted - h[ks]).sign() >= 0 else h[ks]
     return Profile(h.ground_set + (z,), entries)
 
 
-def copy_partial(h: Profile, L, *, tau=None) -> PartialProfile:
+def copy_partial(h: Profile, L) -> PartialProfile:
     """The copy-lemma constraint set for extensions of h along L.
 
     Pins h on subsets of N and its pullback on subsets of the primed copy,
@@ -347,20 +325,11 @@ def copy_partial(h: Profile, L, *, tau=None) -> PartialProfile:
         raise DomainError("L must be a subset of the ground set")
     copied = [v for v in h.ground_set if v not in set(L)]
     primed = {v: _primed(v) for v in copied}
-    ground = h.ground_set + tuple(primed[v] for v in copied)
-    entries = {ks: h[ks] for ks in h.subsets()}
+    ground = h.ground_set + tuple(primed.values())
+    entries = h.entries()
     for ks in h.subsets():
-        image = frozenset(primed.get(v, v) for v in ks)
-        entries[image] = h[ks]
-    n_set = frozenset(h.ground_set)
-    n_copy = frozenset(L) | {primed[v] for v in copied}
-    ci = (
-        LinFunctional({n_set: Fraction(1)})
-        + LinFunctional({n_copy: Fraction(1)})
-        - LinFunctional({frozenset(ground): Fraction(1)})
-        - LinFunctional({frozenset(L): Fraction(1)})
-    )
-    return PartialProfile(ground, entries, [ci])
+        entries[frozenset(primed.get(v, v) for v in ks)] = h[ks]
+    return PartialProfile(ground, entries, [cond_mi_functional(copied, primed.values(), L)])
 
 
 @dataclass

@@ -20,6 +20,7 @@ chain) are verified algebraically on every call.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from .errors import BudgetError, DomainError
 from .extend import Distribution, dist_entropy_profile
 from .gf import FieldSpec
 from .logval import LogValue, is_prime, log_of_rat
-from .polymatroid import Profile
+from .polymatroid import Profile, subsets
 
 DEFAULT_BRUTEFORCE_BUDGET = 10**8
 
@@ -286,18 +287,10 @@ def _verify_snf(A, res: SnfResult):
 
 # -- image sizes and profiles ----------------------------------------------------
 
-_DIAG_CACHE: dict[tuple, tuple] = {}
-
-
+@functools.lru_cache(maxsize=1 << 16)
 def _snf_diagonal(rows: tuple) -> tuple:
     """Cached SNF diagonal; image sizes for many moduli share one reduction."""
-    diag = _DIAG_CACHE.get(rows)
-    if diag is None:
-        diag = snf(rows).diagonal
-        if len(_DIAG_CACHE) > 1 << 16:
-            _DIAG_CACHE.clear()
-        _DIAG_CACHE[rows] = diag
-    return diag
+    return snf(rows).diagonal
 
 
 def image_size(matrix: IntMatrix, m: int) -> int:
@@ -346,10 +339,10 @@ def profile_lincong(matrix: IntMatrix, m: int) -> Profile:
     """
     if m < 2:
         raise DomainError("modulus must be >= 2")
-    entries = {frozenset(): LogValue.zero()}
-    for r in range(1, matrix.n + 1):
-        for comb in itertools.combinations(matrix.labels, r):
-            entries[frozenset(comb)] = log_of_rat(image_size(matrix.submatrix(comb), m))
+    entries = {
+        ks: log_of_rat(image_size(matrix.submatrix(ks), m)) if ks else LogValue.zero()
+        for ks in subsets(matrix.labels)
+    }
     return Profile(matrix.labels, entries)
 
 
@@ -397,11 +390,9 @@ def _monomial(spec, t, exponents):
 def dirichlet_modulus(matrix: IntMatrix) -> int:
     """lcm of all nonzero SNF diagonal entries over all row submatrices."""
     s = 1
-    for r in range(1, matrix.n + 1):
-        for comb in itertools.combinations(matrix.labels, r):
-            for entry in _snf_diagonal(matrix.submatrix(comb).rows):
-                if entry:
-                    s = lcm(s, entry)
+    for ks in subsets(matrix.labels):
+        if ks:
+            s = lcm(s, *(e for e in _snf_diagonal(matrix.submatrix(ks).rows) if e))
     return s
 
 

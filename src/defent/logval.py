@@ -105,14 +105,14 @@ class LogValue:
 
     __slots__ = ("_terms", "_sign")
 
-    def __init__(self, terms=None, *, _validated=False):
+    def __init__(self, terms=None):
         canon: dict[int, Fraction] = {}
         if terms:
             for p, c in terms.items():
                 c = Fraction(c)
                 if c == 0:
                     continue
-                if not _validated and (p < 2 or not is_prime(p)):
+                if p < 2 or not is_prime(p):
                     raise DomainError(f"term key {p} is not prime")
                 canon[int(p)] = c
         object.__setattr__(self, "_terms", canon)
@@ -290,11 +290,12 @@ class LogValue:
 
     @classmethod
     def from_json(cls, obj) -> "LogValue":
-        if not isinstance(obj, dict) or "terms" not in obj:
-            raise DomainError("LogValue JSON must be an object with a 'terms' key")
-        terms = {}
-        for k, v in obj["terms"].items():
-            terms[int(k)] = Fraction(v)
+        if not isinstance(obj, dict) or not isinstance(obj.get("terms"), dict):
+            raise DomainError("LogValue JSON must be an object with a 'terms' object")
+        try:
+            terms = {int(k): Fraction(v) for k, v in obj["terms"].items()}
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"bad LogValue term in {obj['terms']!r}: {exc}") from None
         return cls(terms)
 
     def __repr__(self):

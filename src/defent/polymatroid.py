@@ -12,6 +12,12 @@ scan.
 
 All checks are exact: a functional is zero iff its LogValue is structurally
 zero, and comparisons use certified signs, never floating thresholds.
+
+Subsets are walked (``subsets``), keyed in JSON (``subset_key``,
+``parse_subset_key``, ``entries_to_json``) and combined into Shannon
+quantities (``cond_entropy``, ``cond_mi``, ``ingleton``) here and nowhere
+else: one walk, one codec, each quantity defined once.  A functional
+builder is the same formula evaluated on a profile whose h[S] is H(S).
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .gf import prime_power
-from .logval import LOG2, Approx, LogValue, log_of_rat
+from .logval import LOG2, LogValue, log_of_rat
 
 _ZERO = LogValue.zero()
 
@@ -32,6 +38,37 @@ def _as_labelset(labels):
     if isinstance(labels, str):
         return frozenset((labels,))
     return frozenset(labels)
+
+
+def subsets(labels):
+    """Every subset of labels as a frozenset: by size, then in label order."""
+    labels = tuple(labels)
+    for r in range(len(labels) + 1):
+        for comb in itertools.combinations(labels, r):
+            yield frozenset(comb)
+
+
+def subset_key(ground_set, ks) -> str:
+    """JSON key of a subset: its labels in ground-set order, comma-joined."""
+    order = {v: i for i, v in enumerate(ground_set)}
+    return ",".join(sorted(ks, key=order.get))
+
+
+def parse_subset_key(key: str) -> frozenset:
+    return frozenset(key.split(",")) if key else frozenset()
+
+
+def entries_to_json(ground_set, entries) -> dict:
+    """subset_key -> value JSON (None stays None), smallest subsets first."""
+    keyed = sorted(((len(ks), subset_key(ground_set, ks), v) for ks, v in entries.items()),
+                   key=lambda t: t[:2])
+    return {key: None if v is None else v.to_json() for _, key, v in keyed}
+
+
+def entries_from_json(obj) -> dict:
+    """The inverse of entries_to_json."""
+    return {parse_subset_key(k): None if v is None else LogValue.from_json(v)
+            for k, v in obj.items()}
 
 
 class Profile:
@@ -83,28 +120,17 @@ class Profile:
         return f"Profile(n={len(self.ground_set)}, labels={self.ground_set})"
 
     def subset_key(self, ks: frozenset) -> str:
-        order = {v: i for i, v in enumerate(self.ground_set)}
-        return ",".join(sorted(ks, key=order.get))
+        return subset_key(self.ground_set, ks)
 
     def to_json(self) -> dict:
         return {
             "ground_set": list(self.ground_set),
-            "entries": {
-                self.subset_key(ks): val.to_json()
-                for ks, val in sorted(
-                    self._entries.items(), key=lambda kv: (len(kv[0]), self.subset_key(kv[0]))
-                )
-            },
+            "entries": entries_to_json(self.ground_set, self._entries),
         }
 
     @classmethod
     def from_json(cls, obj) -> "Profile":
-        gs = tuple(obj["ground_set"])
-        entries = {}
-        for key, val in obj["entries"].items():
-            ks = frozenset(key.split(",")) if key else frozenset()
-            entries[ks] = LogValue.from_json(val)
-        return cls(gs, entries)
+        return cls(tuple(obj["ground_set"]), entries_from_json(obj["entries"]))
 
     def normalized(self, base: int):
         """Base-b rendering of every entry: exact Fraction where possible."""
@@ -113,11 +139,7 @@ class Profile:
 
 def zero_profile(ground_set) -> Profile:
     gs = tuple(ground_set)
-    entries = {}
-    for r in range(len(gs) + 1):
-        for comb in itertools.combinations(gs, r):
-            entries[frozenset(comb)] = _ZERO
-    return Profile(gs, entries)
+    return Profile(gs, dict.fromkeys(subsets(gs), _ZERO))
 
 
 # -- basic functionals -------------------------------------------------------
@@ -178,29 +200,21 @@ def factor(h: Profile, partition) -> Profile:
     flat = [v for vs in blocks.values() for v in vs]
     if sorted(flat) != sorted(h.ground_set):
         raise DomainError("blocks must partition the ground set")
-    entries = {}
-    names = tuple(blocks)
-    for r in range(len(names) + 1):
-        for comb in itertools.combinations(names, r):
-            union = frozenset(v for b in comb for v in blocks[b])
-            entries[frozenset(comb)] = h[union]
-    return Profile(names, entries)
+    entries = {ks: h[frozenset(v for b in ks for v in blocks[b])] for ks in subsets(blocks)}
+    return Profile(tuple(blocks), entries)
 
 
 def is_modular(m: Profile) -> bool:
-    """m(I) + m(J) = m(I u J) + m(I n J) for all I, J, with m monotone, m(0)=0."""
+    """m(I) + m(J) = m(I u J) + m(I n J) for all I, J, with m monotone, m(0)=0.
+
+    Equivalently, at O(n 2^n): m(I) = sum of m(i) over i in I, all m(i) >= 0.
+    """
     if m[frozenset()] != _ZERO:
         return False
-    subs = list(m.subsets())
-    for i in subs:
-        for j in subs:
-            if m[i] + m[j] != m[i | j] + m[i & j]:
-                return False
-    full = frozenset(m.ground_set)
-    for i in subs:
-        if cond_entropy(m, full, i).sign() < 0:
-            return False
-    return True
+    single = {v: m[v] for v in m.ground_set}
+    if any(val.sign() < 0 for val in single.values()):
+        return False
+    return all(m[ks] == sum((single[v] for v in ks), _ZERO) for ks in m.subsets())
 
 
 def convolve(h: Profile, m: Profile) -> Profile:
@@ -209,17 +223,10 @@ def convolve(h: Profile, m: Profile) -> Profile:
         raise DomainError("convolution requires a common ground set")
     if not is_modular(m):
         raise DomainError("second argument of convolve must be modular")
-    entries = {}
-    for i_set in h.subsets():
-        members = sorted(i_set)
-        best = None
-        for r in range(len(members) + 1):
-            for comb in itertools.combinations(members, r):
-                j_set = frozenset(comb)
-                cand = h[j_set] + m[i_set - j_set]
-                if best is None or cand < best:
-                    best = cand
-        entries[i_set] = best
+    entries = {
+        i_set: min(h[j_set] + m[i_set - j_set] for j_set in subsets(sorted(i_set)))
+        for i_set in h.subsets()
+    }
     return Profile(h.ground_set, entries)
 
 
@@ -284,32 +291,30 @@ class LinFunctional:
         return " ".join(parts)
 
 
+class _SymbolicProfile:
+    """The profile whose entry h[S] is the functional H(S)."""
+
+    def __getitem__(self, labels) -> LinFunctional:
+        return LinFunctional({_as_labelset(labels): Fraction(1)})
+
+
+_H = _SymbolicProfile()
+
+
 def entropy_of(S) -> LinFunctional:
-    return LinFunctional({_as_labelset(S): Fraction(1)})
+    return _H[S]
 
 
 def cond_entropy_functional(I, K) -> LinFunctional:
-    i, k = _as_labelset(I), _as_labelset(K)
-    return LinFunctional({i | k: Fraction(1)}) - LinFunctional({k: Fraction(1)})
+    return cond_entropy(_H, I, K)
 
 
 def cond_mi_functional(I, J, K=()) -> LinFunctional:
-    i, j, k = _as_labelset(I), _as_labelset(J), _as_labelset(K)
-    return (
-        LinFunctional({i | k: Fraction(1)})
-        + LinFunctional({j | k: Fraction(1)})
-        - LinFunctional({i | j | k: Fraction(1)})
-        - LinFunctional({k: Fraction(1)})
-    )
+    return cond_mi(_H, I, J, K)
 
 
 def ingleton_functional(A, B, C, D) -> LinFunctional:
-    return (
-        cond_mi_functional(C, D, A)
-        + cond_mi_functional(C, D, B)
-        + cond_mi_functional(A, B)
-        - cond_mi_functional(C, D)
-    )
+    return ingleton(_H, A, B, C, D)
 
 
 _FUNC_TOKEN = re.compile(
@@ -473,11 +478,7 @@ def kr_closed_form(q: int, *, corrected: bool = True) -> KRClosedForm:
     """
     _kr_q_check(q)
     d_ab = log_of_rat(Fraction(q, q - 1))
-    d_cd_a = (
-        log_of_rat(Fraction(q, q - 1))
-        if corrected
-        else log_of_rat(Fraction(q - 1, q - 2))
-    )
+    d_cd_a = d_ab if corrected else log_of_rat(Fraction(q - 1, q - 2))
     return KRClosedForm(
         q=q,
         delta_ab=d_ab,
@@ -492,19 +493,19 @@ def kr_violation(q: int, eps) -> LogValue:
     """D(A:B) + D(A:B|C) + eps * Ingleton(A:B|C:D) in its closed form:
     2 log(q/(q-1)) + eps (2 log((q-1)/(q-2)) - log 2).
 
-    The box term 2 log((q-1)/(q-2)) - log 2 is the classical reading of the
-    Ingleton value (see kr_closed_form, corrected=False); on the enumerated
-    configuration the Ingleton value is 2 log(q/(q-1)) - log 2, checked
-    exactly at q = 5 and 7.  At eps = 1/10 both readings put the first
-    violation at q* = 37, after the prime power 31.
+    All three are read off kr_closed_form(q, corrected=False), so the box
+    term 2 log((q-1)/(q-2)) - log 2 is the classical reading of the Ingleton
+    value; on the enumerated configuration the Ingleton value is
+    2 log(q/(q-1)) - log 2, checked exactly at q = 5 and 7.  At eps = 1/10
+    both readings put the first violation at q* = 37, after the prime
+    power 31.
     """
     eps = Fraction(eps)
     if eps < 0:
         raise DomainError("eps must be >= 0")
-    _kr_q_check(q)
-    main = log_of_rat(Fraction(q, q - 1)).scale(2)
-    box = log_of_rat(Fraction(q - 1, q - 2)).scale(2) - LOG2
-    return main + box.scale(eps)
+    f = kr_closed_form(q, corrected=False)
+    box = f.delta_cd_a + f.delta_cd_b + f.delta_ab - f.delta_cd
+    return f.delta_ab + f.delta_ab_c + box.scale(eps)
 
 
 def _odd_prime_powers(lo, hi):
@@ -556,6 +557,8 @@ def dfz_family(s: int, *, corrected: bool = False, labels=("A", "B", "C", "D")) 
     """
     if s < 2:
         raise DomainError("the family is defined for s >= 2")
+    if len(labels) != 4:
+        raise DomainError(f"the family needs exactly 4 labels, got {len(labels)}")
     A, B, C, D = labels
     c1 = Fraction(2 ** (s - 1) - 1)
     w = Fraction(2 ** (s - 1) * (s - 1), 2**s - 2)

@@ -343,34 +343,28 @@ def test_criterion_07_snf_paper_example():
     )
 
 
-def _pack_rows(vals, bits=5):
-    key = vals[0].astype(np.int64)
-    for i in range(1, vals.shape[0]):
-        key = (key << bits) | vals[i]
-    return key
-
-
 def all_subset_image_sizes_bruteforce(mat, m):
-    """Enumerate (Z/m)^d once; image sizes of every row subset by projection."""
+    """Enumerate (Z/m)^d once; image sizes of every row subset by projection.
+
+    Each coordinate of x owns one broadcast axis, so row i of A x mod m is an
+    array over all of (Z/m)^d; a row subset's distinct columns are counted
+    on a boolean bitmap over its m^|I| keys.
+    """
     d = mat.d
-    A = np.array(mat.rows, dtype=np.int64)
-    idx = np.arange(m**d, dtype=np.int64)
-    coords = np.empty((d, idx.shape[0]), dtype=np.int64)
-    rem = idx
-    for j in range(d):
-        coords[j] = rem % m
-        rem = rem // m
-    V = (A @ coords) % m
-    full = np.unique(_pack_rows(V))
+    axes = [np.arange(m, dtype=np.int64).reshape([m if k == j else 1 for k in range(d)])
+            for j in range(d)]
+    V = [(sum(a * x for a, x in zip(row, axes)) % m).ravel() for row in mat.rows]
     out = {}
     for r in range(1, mat.n + 1):
         for comb in itertools.combinations(range(mat.n), r):
-            sub = np.empty((len(comb), full.shape[0]), dtype=np.int64)
-            for pos, i in enumerate(comb):
-                shift = 5 * (mat.n - 1 - i)
-                sub[pos] = (full >> shift) & 31
+            key = V[comb[0]].copy()
+            for i in comb[1:]:
+                key *= m
+                key += V[i]
+            seen = np.zeros(m**r, dtype=bool)
+            seen[key] = True
             labels = tuple(mat.labels[i] for i in comb)
-            out[labels] = int(np.unique(_pack_rows(sub)).shape[0])
+            out[labels] = int(np.count_nonzero(seen))
     return out
 
 

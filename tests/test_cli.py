@@ -180,6 +180,21 @@ def test_exit_codes(capsys, tmp_path, hyp_file, sqrt_file):
     assert code == 4
     code, _ = run(capsys, ["count", hyp_file])  # missing --p
     assert code == 2
+    # a 2-label profile: the DFZ family and the GMM check need exactly 4
+    prof = tmp_path / "two.json"
+    assert main(["-o", str(prof), "profile", hyp_file, "--p", "3"]) == 0
+    for flags in (["--dfz", "3"], ["--gmm"]):
+        code, _ = run(capsys, ["check", str(prof), *flags])
+        assert code == 3
+    # malformed rationals and LogValue JSON from the command line
+    for argv in (["kr", "--q", "7", "--eps", "abc"],
+                 ["kr", "--scan", "--eps", "1/0"],
+                 ["kr", "--q", "7", "--eps", "1/0"]):
+        code, _ = run(capsys, argv)
+        assert code == 2, argv
+    code, _ = run(capsys, ["extend", "sw", str(prof), "--L", "y",
+                           "--alpha", '{"terms":{"2":"x"}}'])
+    assert code == 3
 
 
 def test_output_deterministic(capsys, hyp_file):

@@ -101,6 +101,12 @@ def test_identity_between_functionals():
             lhs = cond_mi(h, I, J, K)
             rhs = cond_entropy(h, I, K) - cond_entropy(h, I, set(J) | set(K))
             assert lhs == rhs
+            i, j, k, rest = (",".join(x) for x in (I, J, K, gs[2:]))
+            assert eval_functional(parse_functional(f"D({i}|{k})"), h) == cond_entropy(h, I, K)
+            assert eval_functional(parse_functional(f"I({i}:{j}|{k})"), h) == lhs
+            assert eval_functional(parse_functional(f"ING({i}:{j}|{k}:{rest})"), h) == ingleton(
+                h, I, J, K, gs[2:]
+            )
 
 
 def test_ingleton_examples(two_bits):
@@ -138,12 +144,44 @@ def test_factor_preserves_polymatroid():
         assert is_polymatroid(f)
 
 
+def pairwise_modular(m):
+    """The definition: m(I) + m(J) = m(I u J) + m(I n J) for all I, J, and m monotone."""
+    subs = list(m.subsets())
+    full = frozenset(m.ground_set)
+    return (
+        m[frozenset()] == Z
+        and all(m[i] + m[j] == m[i | j] + m[i & j] for i in subs for j in subs)
+        and all((m[full] - m[i]).sign() >= 0 for i in subs)
+    )
+
+
 def test_is_modular_examples(two_bits):
     additive = make_profile("12", {"": Z, "1": L2, "2": log_of_rat(3), "12": L2 + log_of_rat(3)})
     assert is_modular(additive)
     rank1 = make_profile("12", {"": Z, "1": L2, "2": L2, "12": L2})
     assert not is_modular(rank1)
     assert is_modular(zero_profile("12"))
+    # modular but not monotone: m(1) = -log 2
+    neg = make_profile("12", {"": Z, "1": -L2, "2": log_of_rat(3), "12": log_of_rat(3) - L2})
+    assert not is_modular(neg)
+    # seeded random 3-label profiles, against the pairwise definition
+    rng = random.Random(17)
+    values = (Z, L2, log_of_rat(3), -L2)
+    seen = set()
+    for _ in range(300):
+        single = {v: rng.choice(values) for v in "uvw"}
+        table = {}
+        for r in range(4):
+            for comb in itertools.combinations("uvw", r):
+                val = sum((single[v] for v in comb), Z)
+                if r >= 2 and rng.random() < 0.3:
+                    val = val + rng.choice(values[1:])
+                table["".join(comb)] = val
+        m = make_profile("uvw", table)
+        want = pairwise_modular(m)
+        assert is_modular(m) == want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_convolve_examples(two_bits):
