@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+from contextlib import contextmanager
+
 
 class DomainError(ValueError):
     """A precondition on mathematical input is violated."""
@@ -19,3 +21,15 @@ class EstimationError(RuntimeError):
     def __init__(self, message, **details):
         super().__init__(message)
         self.details = details
+
+
+@contextmanager
+def malformed(what: str):
+    """Report a missing key or a wrongly shaped value while reading ``what``
+    (a JSON document) as a DomainError."""
+    try:
+        yield
+    except DomainError:
+        raise
+    except (KeyError, IndexError, TypeError, AttributeError, ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"malformed {what}: {exc!r}") from None

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, malformed
 from .logval import LogValue, log_of_rat
 from .polymatroid import (
     Profile,
@@ -111,15 +111,16 @@ class Distribution:
         def parse_val(s):
             return int(s) if isinstance(s, str) and s.lstrip("-").isdigit() else s
 
-        gs = tuple(obj["ground_set"])
-        probs = {
-            tuple(parse_val(x) for x in row["outcome"]): Fraction(row["prob"])
-            for row in obj["support"]
-        }
-        alphabets = {
-            v: tuple(parse_val(x) for x in vals)
-            for v, vals in obj.get("alphabets", {}).items()
-        } or None
+        with malformed("distribution JSON"):
+            gs = tuple(obj["ground_set"])
+            probs = {
+                tuple(parse_val(x) for x in row["outcome"]): Fraction(row["prob"])
+                for row in obj["support"]
+            }
+            alphabets = {
+                v: tuple(parse_val(x) for x in vals)
+                for v, vals in obj.get("alphabets", {}).items()
+            } or None
         return cls(gs, probs, alphabets)
 
 

@@ -29,7 +29,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, malformed
 from .extend import Distribution, dist_entropy_profile
 from .gf import FieldSpec
 from .logval import LogValue, is_prime, log_of_rat
@@ -88,7 +88,8 @@ def parse_matrix(text: str) -> IntMatrix:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         obj = json.loads(text)
-        return IntMatrix.from_rows(obj["rows"], tuple(obj["labels"]) if "labels" in obj else None)
+        with malformed("matrix JSON"):
+            return IntMatrix.from_rows(obj["rows"], tuple(obj["labels"]) if "labels" in obj else None)
     rows = []
     labels = []
     for line in text.splitlines():

@@ -8,6 +8,14 @@ sign decision reduces to interval arithmetic at a precision that is doubled
 until the enclosure excludes zero, which must happen for a provably nonzero
 number.
 
+Signs are decided in integers.  For each prime p and binary precision k a
+cached helper holds integers lo <= 2^k * log(p) <= hi, rounded outward from
+a rigorous mpmath interval; a sign then scales the coefficients to integers
+by their common denominator and sums n*lo and n*hi.  Coefficients are
+stored in one canonical form: an ``int`` when integral (image sizes and
+counts give integer exponents), otherwise a ``Fraction`` with denominator
+greater than 1, so most arithmetic stays in Python ints.
+
 All entropies of uniform distributions on finite supports live in this
 ring of values: logs of integer counts and rational probabilities.
 Exactness is what allows equalities like D(A:B) = log q - log(q-1) to be
@@ -16,6 +24,8 @@ decided rather than approximated.
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -94,10 +104,29 @@ def _iv_eval(items, prec):
         iv.prec = old
 
 
+@functools.lru_cache(maxsize=512)
+def _log_bounds(p: int, prec: int) -> tuple[int, int]:
+    """Integers lo <= 2^prec * log(p) <= hi, from an outward-rounded interval."""
+    work = prec + 16
+    box = _iv_eval([(p, 1)], work)
+    with mpmath.workprec(work):  # the endpoints convert exactly at their own precision
+        (ma, ea), (mb, eb) = mpmath.mpf(box.a).man_exp, mpmath.mpf(box.b).man_exp
+    ea, eb = ea + prec, eb + prec
+    lo = ma << ea if ea >= 0 else ma >> -ea
+    hi = mb << eb if eb >= 0 else -(-mb >> -eb)
+    return lo, hi
+
+
+def _canon(c):
+    """The stored form of a nonzero rational: int when integral, else Fraction."""
+    return c.numerator if c.denominator == 1 else c
+
+
 class LogValue:
     """An exact rational linear combination of logarithms of primes.
 
-    Canonical form: the term map never stores a zero coefficient and the
+    Canonical form: the term map never stores a zero coefficient, stores an
+    integral coefficient as ``int`` and any other as ``Fraction``, and the
     empty map is the real number 0.  Values are immutable and hashable;
     arithmetic returns new values.  Comparisons are exact (decided by the
     certified sign of the difference).
@@ -106,7 +135,7 @@ class LogValue:
     __slots__ = ("_terms", "_sign")
 
     def __init__(self, terms=None):
-        canon: dict[int, Fraction] = {}
+        canon: dict[int, int | Fraction] = {}
         if terms:
             for p, c in terms.items():
                 c = Fraction(c)
@@ -114,9 +143,9 @@ class LogValue:
                     continue
                 if p < 2 or not is_prime(p):
                     raise DomainError(f"term key {p} is not prime")
-                canon[int(p)] = c
-        object.__setattr__(self, "_terms", canon)
-        object.__setattr__(self, "_sign", None)
+                canon[int(p)] = _canon(c)
+        self._terms = canon
+        self._sign = None
 
     # -- construction -----------------------------------------------------
 
@@ -125,17 +154,17 @@ class LogValue:
         return cls()
 
     @classmethod
-    def _raw(cls, canon: dict[int, Fraction]) -> "LogValue":
+    def _raw(cls, canon: dict[int, int | Fraction]) -> "LogValue":
         v = cls.__new__(cls)
-        object.__setattr__(v, "_terms", canon)
-        object.__setattr__(v, "_sign", None)
+        v._terms = canon
+        v._sign = None
         return v
 
     # -- accessors ---------------------------------------------------------
 
     @property
     def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
+        return {p: Fraction(c) for p, c in self._terms.items()}
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -145,22 +174,25 @@ class LogValue:
 
     # -- ring operations ---------------------------------------------------
 
+    def _plus(self, items) -> "LogValue":
+        canon = dict(self._terms)
+        for p, c in items:
+            s = canon.get(p, 0) + c
+            if s:
+                canon[p] = s.numerator if s.denominator == 1 else s
+            else:
+                del canon[p]
+        return LogValue._raw(canon)
+
     def __add__(self, other):
         if not isinstance(other, LogValue):
             return NotImplemented
-        canon = dict(self._terms)
-        for p, c in other._terms.items():
-            s = canon.get(p, 0) + c
-            if s:
-                canon[p] = s
-            else:
-                canon.pop(p, None)
-        return LogValue._raw(canon)
+        return self._plus(other._terms.items())
 
     def __sub__(self, other):
         if not isinstance(other, LogValue):
             return NotImplemented
-        return self + (-other)
+        return self._plus((p, -c) for p, c in other._terms.items())
 
     def __neg__(self):
         return LogValue._raw({p: -c for p, c in self._terms.items()})
@@ -169,7 +201,8 @@ class LogValue:
         c = Fraction(c)
         if c == 0:
             return LogValue.zero()
-        return LogValue._raw({p: c * v for p, v in self._terms.items()})
+        c = _canon(c)
+        return LogValue._raw({p: _canon(c * v) for p, v in self._terms.items()})
 
     def __mul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -183,23 +216,32 @@ class LogValue:
     def sign(self) -> int:
         """Certified sign in {-1, 0, +1}.
 
-        Zero is structural (empty term map); otherwise interval arithmetic
-        at doubling precision until the enclosure excludes zero.
+        Zero is structural (empty term map).  Otherwise the coefficients are
+        scaled to integers n_p by their common denominator, and the cached
+        integer enclosures lo_p <= 2^k log(p) <= hi_p bound 2^k times the
+        scaled value from both sides; k starts at 64 bits and doubles until
+        the bounds exclude zero.
         """
         if not self._terms:
             return 0
         if self._sign is not None:
             return self._sign
-        items = list(self._terms.items())
+        den = math.lcm(*(c.denominator for c in self._terms.values()))
+        scaled = [(p, c.numerator * (den // c.denominator)) for p, c in self._terms.items()]
         prec = _SIGN_START_PREC
         while prec <= _SIGN_MAX_PREC:
-            box = _iv_eval(items, prec)
-            if box.a > 0:
-                object.__setattr__(self, "_sign", 1)
-                return 1
-            if box.b < 0:
-                object.__setattr__(self, "_sign", -1)
-                return -1
+            lo = hi = 0
+            for p, n in scaled:
+                a, b = _log_bounds(p, prec)
+                if n > 0:
+                    lo += n * a
+                    hi += n * b
+                else:
+                    lo += n * b
+                    hi += n * a
+            if lo > 0 or hi < 0:
+                self._sign = 1 if lo > 0 else -1
+                return self._sign
             prec *= 2
         raise RuntimeError(f"sign undecided at precision {_SIGN_MAX_PREC}: {self!r}")
 
@@ -261,7 +303,7 @@ class LogValue:
             return Fraction(0)
         if set(self._terms) == set(bfact):
             p0, e0 = next(iter(bfact.items()))
-            c = self._terms[p0] / e0
+            c = Fraction(self._terms[p0], e0)
             if all(self._terms[p] == c * e for p, e in bfact.items()):
                 return c
         items = list(self._terms.items())
@@ -310,11 +352,9 @@ def log_of_rat(r, cap: int = DEFAULT_FACTOR_CAP) -> LogValue:
     r = Fraction(r)
     if r <= 0:
         raise DomainError(f"log of non-positive rational {r}")
-    terms: dict[int, Fraction] = {}
-    for p, e in factorize(r.numerator, cap).items():
-        terms[p] = Fraction(e)
+    terms = factorize(r.numerator, cap)
     for p, e in factorize(r.denominator, cap).items():
-        terms[p] = terms.get(p, Fraction(0)) - e
+        terms[p] = terms.get(p, 0) - e
     return LogValue._raw({p: c for p, c in terms.items() if c})
 
 

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, malformed
 from .gf import prime_power
 from .logval import LOG2, LogValue, log_of_rat
 
@@ -130,7 +130,11 @@ class Profile:
 
     @classmethod
     def from_json(cls, obj) -> "Profile":
-        return cls(tuple(obj["ground_set"]), entries_from_json(obj["entries"]))
+        with malformed("profile JSON"):
+            ground_set, entries = tuple(obj["ground_set"]), entries_from_json(obj["entries"])
+        if not all(isinstance(v, str) for v in ground_set):
+            raise DomainError("profile JSON labels must be strings")
+        return cls(ground_set, entries)
 
     def normalized(self, base: int):
         """Base-b rendering of every entry: exact Fraction where possible."""

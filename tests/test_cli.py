@@ -195,6 +195,21 @@ def test_exit_codes(capsys, tmp_path, hyp_file, sqrt_file):
     code, _ = run(capsys, ["extend", "sw", str(prof), "--L", "y",
                            "--alpha", '{"terms":{"2":"x"}}'])
     assert code == 3
+    # profile, distribution and matrix JSON with a missing key or a wrong shape
+    malformed = {"empty.json": "{}", "entries.json": '{"ground_set":["x"],"entries":[]}',
+                 "labels.json": '{"ground_set":[["x"]],"entries":{}}',
+                 "norows.json": '{"labels":["a"]}', "badrow.json": '{"rows":[[1,"x"]]}'}
+    for name, text in malformed.items():
+        (tmp_path / name).write_text(text)
+    for argv in (["check", "empty.json", "--expr", "H(x)"],
+                 ["check", "entries.json", "--expr", "H(x)"],
+                 ["check", "labels.json", "--expr", "H(x)"],
+                 ["extend", "copy", "empty.json", "--L", "y"],
+                 ["lincong", "norows.json", "--m", "5"],
+                 ["lincong", "badrow.json", "--m", "5"]):
+        argv = [str(tmp_path / a) if a in malformed else a for a in argv]
+        code, _ = run(capsys, argv)
+        assert code == 3, argv
 
 
 def test_output_deterministic(capsys, hyp_file):

@@ -2,10 +2,13 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defent import Approx, DomainError, LogValue, log_of_rat
-from defent.logval import factorize, is_prime
+from defent.logval import _log_bounds, factorize, is_prime
 
 
 def test_log_of_rat_examples():
@@ -78,10 +81,12 @@ def test_to_float_error_contract():
 
 
 def test_normalize_base_exact():
-    assert LogValue({7: 3}).normalize_base(7) == 3
-    assert LogValue({2: 2}).normalize_base(4) == 1
-    assert LogValue.zero().normalize_base(17) == 0
-    assert log_of_rat(Fraction(1, 36)).normalize_base(6) == -2
+    # integer coefficients divide to an exact Fraction, never to a float
+    for v, base, expected in ((LogValue({7: 3}), 7, 3), (LogValue({2: 2}), 4, 1),
+                              (LogValue.zero(), 17, 0), (log_of_rat(Fraction(1, 36)), 6, -2),
+                              (log_of_rat(7**3), 49, Fraction(3, 2))):
+        out = v.normalize_base(base)
+        assert type(out) is Fraction and out == expected
 
 
 def test_normalize_base_numeric():
@@ -115,6 +120,8 @@ def test_json_round_trip():
     v = LogValue({2: Fraction(-5, 9), 3: 2, 11: Fraction(7, 2)})
     blob = v.to_json()
     assert blob == {"terms": {"2": "-5/9", "3": "2/1", "11": "7/2"}}
+    assert repr(v) == "LogValue(-5/9*log(2) + 2*log(3) + 7/2*log(11))"
+    assert log_of_rat(Fraction(8, 9)).to_json() == {"terms": {"2": "3/1", "3": "-2/1"}}
     assert LogValue.from_json(blob) == v
     assert LogValue.from_json({"terms": {}}) == LogValue.zero()
     with pytest.raises(DomainError):
@@ -126,8 +133,92 @@ def test_hash_and_eq():
     b = log_of_rat(2) + LogValue({5: Fraction(1, 2)})
     assert a == b and hash(a) == hash(b)
     assert a != LogValue({2: 1})
+    assert LogValue({2: Fraction(3)}) == log_of_rat(8)
+    assert hash(LogValue({2: Fraction(3)})) == hash(log_of_rat(8))
 
 
 def test_factorize_and_is_prime():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert is_prime(2) and is_prime(997) and not is_prime(1) and not is_prime(91)
+
+
+# -- certified signs against exact oracles ------------------------------------
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+exponent_maps = st.dictionaries(
+    st.sampled_from(SMALL_PRIMES),
+    st.fractions(min_value=-40, max_value=40, max_denominator=6),
+    max_size=len(SMALL_PRIMES),
+)
+
+
+def integer_sign(terms) -> int:
+    """Sign of sum c_p log p from integers: compare the two sides of the product."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    up = down = 1
+    for p, c in terms.items():
+        n = c.numerator * (den // c.denominator)
+        if n > 0:
+            up *= p**n
+        else:
+            down *= p ** -n
+    return (up > down) - (up < down)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(exponent_maps, exponent_maps)
+def test_sign_matches_integer_oracle(a_terms, b_terms):
+    a, b = LogValue(a_terms), LogValue(b_terms)
+    v = a - b
+    s = integer_sign(v.terms)
+    assert v.sign() == s
+    assert (-v).sign() == -s
+    assert (a < b, a == b, a > b) == (s < 0, s == 0, s > 0)
+
+
+def canonical(v: LogValue) -> bool:
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in v._terms.values())
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(exponent_maps, exponent_maps, st.fractions(min_value=-6, max_value=6, max_denominator=4))
+def test_ring_laws(a_terms, b_terms, k):
+    a, b = LogValue(a_terms), LogValue(b_terms)
+    assert a + b == b + a and (a + b) - b == a and (a - a).is_zero()
+    assert -(a - b) == b - a
+    assert (a + b).scale(k) == a.scale(k) + b.scale(k) == k * (a + b)
+    for v in (a, a + b, a - b, -a, a.scale(k)):
+        assert canonical(v), v
+
+
+@pytest.mark.parametrize("n3, n2", [(6189245291, 9809721694), (6586818670, 10439860591)])
+def test_sign_escalates_past_a_straddling_enclosure(n3, n2):
+    # continued-fraction convergents of log2(3): |n3 log 3 - n2 log 2| ~ 1e-10
+    v = LogValue({3: n3, 2: -n2})
+    (lo3, hi3), (lo2, hi2) = _log_bounds(3, 64), _log_bounds(2, 64)
+    assert n3 * lo3 - n2 * hi2 <= 0 <= n3 * hi3 - n2 * lo2
+    with mpmath.workprec(600):
+        exact = n3 * mpmath.log(3) - n2 * mpmath.log(2)
+    assert abs(exact) < 1e-10
+    assert v.sign() == (1 if exact > 0 else -1)
+
+
+def test_log_bounds_enclose():
+    with mpmath.workprec(400):
+        for p in SMALL_PRIMES + (1009, 999983):
+            for prec in (64, 128, 256):
+                lo, hi = _log_bounds(p, prec)
+                assert lo <= mpmath.ldexp(mpmath.log(p), prec) <= hi and hi - lo <= 2
+
+
+# -- canonical int-or-Fraction coefficients -----------------------------------
+
+def test_integral_coefficients_are_ints():
+    half = LogValue({2: Fraction(1, 2), 3: Fraction(-3, 2)})
+    for v in (log_of_rat(Fraction(8, 9)), LogValue({2: Fraction(6, 2)}), half + half,
+              half.scale(6), LogValue.from_json({"terms": {"2": "4/2"}})):
+        assert all(type(c) is int for c in v._terms.values()), v
+    assert canonical(half) and type(half._terms[2]) is Fraction
+    assert all(type(c) is Fraction for c in log_of_rat(8).terms.values())
+    assert all(type(c) is Fraction for c in (half + half).terms.values())
