@@ -31,5 +31,5 @@ def malformed(what: str):
         yield
     except DomainError:
         raise
-    except (KeyError, IndexError, TypeError, AttributeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"malformed {what}: {exc!r}") from None

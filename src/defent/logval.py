@@ -355,7 +355,7 @@ def log_of_rat(r, cap: int = DEFAULT_FACTOR_CAP) -> LogValue:
     terms = factorize(r.numerator, cap)
     for p, e in factorize(r.denominator, cap).items():
         terms[p] = terms.get(p, 0) - e
-    return LogValue._raw({p: c for p, c in terms.items() if c})
+    return LogValue._raw(terms)  # numerator and denominator share no prime
 
 
 #: log 2, handy in several closed forms
