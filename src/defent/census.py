@@ -5,6 +5,10 @@ the uniform distribution on the rational points, tower censuses across
 extension degrees, and the recovery of the growth law count ~ mu * q^d
 together with its period in the extension degree.
 
+``count_points`` and ``collect_points`` are the enumeration engine's own
+functions (``enumeration.count_points_vec`` and ``collect_points_vec``),
+re-exported here under their public names.
+
 A fiber histogram records, for a projection onto the variables I, how many
 projected points have each fiber size.  Empty fibers carry probability
 zero and are excluded from the buckets; the number of points of the
@@ -25,8 +29,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import enumeration, polymatroid
+from . import polymatroid
 from .enumeration import DEFAULT_MAX_EVALS
+from .enumeration import collect_points_vec as collect_points, count_points_vec as count_points
 from .errors import DomainError, EstimationError
 from .extend import Distribution
 from .gf import FieldSpec, field
@@ -34,8 +39,8 @@ from .logval import LogValue, log_of_rat
 from .polymatroid import Profile
 from .ringlang import DefinableSet
 
-DEFAULT_DENOM_CAP = 64
-DEFAULT_CONSISTENCY = 8
+DENOM_CAP = 64
+CONSISTENCY = 8
 
 
 @dataclass(frozen=True)
@@ -105,18 +110,7 @@ class PeriodReport:
     classes: dict            # residue -> AsymptoticEstimate
 
 
-# -- counting and sampling ----------------------------------------------------
-
-def count_points(dset: DefinableSet, spec: FieldSpec, *, jobs: int = 1,
-                 max_evals: int = DEFAULT_MAX_EVALS) -> int:
-    """Number of assignments of the free variables satisfying the formula."""
-    return enumeration.count_points_vec(dset, spec, jobs=jobs, max_evals=max_evals)
-
-
-def collect_points(dset: DefinableSet, spec: FieldSpec, *, jobs: int = 1,
-                   max_evals: int = DEFAULT_MAX_EVALS) -> np.ndarray:
-    return enumeration.collect_points_vec(dset, spec, jobs=jobs, max_evals=max_evals)
-
+# -- projections ------------------------------------------------------------------
 
 def _subset_columns(dset, I):
     """Column indices and labels of the variables I, in declaration order."""
@@ -251,15 +245,13 @@ def _row_qc(row):
     return int(q), int(c)
 
 
-def estimate_dim_measure(rows, *, residue: int = 0, modulus: int = 1,
-                         denom_cap: int = DEFAULT_DENOM_CAP,
-                         consistency: int = DEFAULT_CONSISTENCY) -> AsymptoticEstimate:
+def estimate_dim_measure(rows, *, residue: int = 0, modulus: int = 1) -> AsymptoticEstimate:
     """Recover (d, mu) with count ~ mu * q^d from two or more census rows.
 
     The dimension comes from the count ratio of the two largest rows; the
     measure is the smallest-denominator rational within the relative window
-    1/sqrt(q2) of count/q^d, rejected if its denominator exceeds the cap or
-    if it violates |x - mu| <= mu * consistency / sqrt(q2).
+    1/sqrt(q2) of count/q^d, rejected if its denominator exceeds DENOM_CAP
+    or if it violates |x - mu| <= mu * CONSISTENCY / sqrt(q2).
     """
     data = sorted((_row_qc(r) for r in rows), key=lambda t: t[0])
     if len(data) < 2:
@@ -276,11 +268,11 @@ def estimate_dim_measure(rows, *, residue: int = 0, modulus: int = 1,
     s = max(math.isqrt(q2), 2)
     delta = x / s
     mu = _simplest_between(x - delta, x + delta)
-    if mu <= 0 or mu.denominator > denom_cap:
+    if mu <= 0 or mu.denominator > DENOM_CAP:
         raise EstimationError(
-            f"no measure with denominator <= {denom_cap} fits", estimate=x, rows=data
+            f"no measure with denominator <= {DENOM_CAP} fits", estimate=x, rows=data
         )
-    if (x - mu) ** 2 * q2 > (mu * consistency) ** 2:
+    if (x - mu) ** 2 * q2 > (mu * CONSISTENCY) ** 2:
         raise EstimationError(
             "count deviates from mu*q^d beyond the allowed error",
             mu=mu, estimate=x, rows=data,
@@ -288,9 +280,7 @@ def estimate_dim_measure(rows, *, residue: int = 0, modulus: int = 1,
     return AsymptoticEstimate(d, mu, residue, modulus)
 
 
-def detect_period(table: CensusTable, m_max: int, *,
-                  denom_cap: int = DEFAULT_DENOM_CAP,
-                  consistency: int = DEFAULT_CONSISTENCY) -> PeriodReport:
+def detect_period(table: CensusTable, m_max: int) -> PeriodReport:
     """Smallest m with constant (d, mu) estimates in each class of e mod m.
 
     Estimates are computed from every adjacent pair of rows inside a class
@@ -313,10 +303,7 @@ def detect_period(table: CensusTable, m_max: int, *,
             try:
                 for a, b in zip(rs, rs[1:]):
                     pair_estimates.append(
-                        estimate_dim_measure(
-                            [a, b], residue=res, modulus=m,
-                            denom_cap=denom_cap, consistency=consistency,
-                        )
+                        estimate_dim_measure([a, b], residue=res, modulus=m)
                     )
             except EstimationError as exc:
                 reason = f"class {res}: {exc}"

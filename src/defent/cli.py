@@ -17,7 +17,7 @@ from . import census, extend, lincong, polymatroid
 from .enumeration import DEFAULT_MAX_EVALS
 from .errors import BudgetError, DomainError, EstimationError
 from .gf import field
-from .logval import Approx, LogValue
+from .logval import LogValue
 from .polymatroid import Profile
 from .ringlang import ParseError, parse_set
 
@@ -38,7 +38,7 @@ def _load_profile(path: str) -> Profile:
 def _normalized_json(profile: Profile, base: int) -> dict:
     out = {}
     for ks, val in profile.normalized(base).items():
-        key = profile.subset_key(ks)
+        key = polymatroid.subset_key(profile.ground_set, ks)
         if isinstance(val, Fraction):
             out[key] = f"{val.numerator}/{val.denominator}" if val.denominator != 1 else str(val.numerator)
         else:

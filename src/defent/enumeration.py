@@ -34,7 +34,6 @@ order, so results are identical for any worker count.
 from __future__ import annotations
 
 import functools
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -48,18 +47,10 @@ _CHUNK_ELEMS = 1 << 21
 _TABLE_BYTES = 1 << 22  # int16 q x q ADD plus MUL: q <= 1024
 _ENGINE_CACHE = 8
 
-_ENGINES: OrderedDict = OrderedDict()
 
-
+@functools.lru_cache(maxsize=_ENGINE_CACHE)
 def get_engine(spec: FieldSpec) -> "_Engine":
-    eng = _ENGINES.get(spec)
-    if eng is None:
-        eng = _ENGINES[spec] = _Engine(spec)
-        if len(_ENGINES) > _ENGINE_CACHE:
-            _ENGINES.popitem(last=False)
-    else:
-        _ENGINES.move_to_end(spec)
-    return eng
+    return _Engine(spec)
 
 
 def _index_dtype(bound: int):
@@ -466,6 +457,7 @@ def _run_chunks(dset, spec, collect, jobs, max_evals):
 
 
 def count_points_vec(dset, spec, *, jobs=1, max_evals=DEFAULT_MAX_EVALS) -> int:
+    """Number of assignments of the free variables satisfying the formula."""
     count, _ = _run_chunks(dset, spec, False, jobs, max_evals)
     return count
 

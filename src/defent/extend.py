@@ -22,10 +22,11 @@ from fractions import Fraction
 from .errors import DomainError, malformed
 from .logval import LogValue, log_of_rat
 from .polymatroid import (
+    H,
     Profile,
-    cond_entropy_functional,
+    _as_labelset,
+    cond_entropy,
     cond_mi,
-    cond_mi_functional,
     entries_from_json,
     entries_to_json,
     eval_functional,
@@ -141,10 +142,6 @@ class CopyResult:
     tau: dict          # label of the extension -> label of the original
     shared: tuple      # L, the coordinates the two halves have in common
 
-    @property
-    def copy_labels(self):
-        return tuple(v for v in self.dist.ground_set if self.tau.get(v, v) != v)
-
 
 def _primed(v: str) -> str:
     return v + "'"
@@ -202,7 +199,7 @@ class PartialProfile:
         full = frozenset(self.ground_set)
         canon = dict.fromkeys(subsets(self.ground_set))
         for ks, val in self.entries.items():
-            ks = frozenset((ks,)) if isinstance(ks, str) else frozenset(ks)
+            ks = _as_labelset(ks)
             if not ks <= full:
                 raise DomainError(f"entry {sorted(ks)} outside the ground set")
             canon[ks] = val
@@ -215,9 +212,6 @@ class PartialProfile:
     def defined(self):
         return {ks: v for ks, v in self.entries.items() if v is not None}
 
-    def subset_key(self, ks):
-        return subset_key(self.ground_set, ks)
-
     def to_json(self) -> dict:
         return {
             "ground_set": list(self.ground_set),
@@ -227,11 +221,10 @@ class PartialProfile:
 
     @classmethod
     def from_json(cls, obj) -> "PartialProfile":
-        return cls(
-            tuple(obj["ground_set"]),
-            entries_from_json(obj["entries"]),
-            [parse_functional(s) for s in obj.get("constraints", [])],
-        )
+        with malformed("partial profile JSON"):
+            ground_set, entries = tuple(obj["ground_set"]), entries_from_json(obj["entries"])
+            constraints = [parse_functional(s) for s in obj.get("constraints", [])]
+        return cls(ground_set, entries, constraints)
 
 
 def _fresh_label(taken, z_label):
@@ -267,7 +260,7 @@ def slepian_wolf_partial(h: Profile, L, alpha: LogValue, *, z_label: str = "z") 
     for ks in h.subsets():
         if ks >= I:
             entries[ks | {z}] = h[ks]
-    constraints = [cond_entropy_functional((z,), I)]
+    constraints = [cond_entropy(H, (z,), I)]
     return PartialProfile(ground, entries, constraints)
 
 
@@ -288,11 +281,9 @@ def ak_partial(h: Profile, L, *, z_label: str = "z") -> PartialProfile:
     I = frozenset(h.ground_set) - set(L)
     ground = h.ground_set + (z,)
     entries = h.entries()
-    constraints = [cond_entropy_functional((z,), L)]
+    constraints = [cond_entropy(H, (z,), L)]
     for k_set in subsets(sorted(L)):
-        constraints.append(
-            cond_entropy_functional(k_set, (z,)) - cond_entropy_functional(k_set, I)
-        )
+        constraints.append(cond_entropy(H, k_set, (z,)) - cond_entropy(H, k_set, I))
     return PartialProfile(ground, entries, constraints)
 
 
@@ -330,7 +321,7 @@ def copy_partial(h: Profile, L) -> PartialProfile:
     entries = h.entries()
     for ks in h.subsets():
         entries[frozenset(primed.get(v, v) for v in ks)] = h[ks]
-    return PartialProfile(ground, entries, [cond_mi_functional(copied, primed.values(), L)])
+    return PartialProfile(ground, entries, [cond_mi(H, copied, primed.values(), L)])
 
 
 @dataclass
@@ -355,7 +346,8 @@ def check_extension(pp: PartialProfile, candidate: Profile, *,
         raise DomainError("candidate ground set differs from the partial profile's")
     for ks, val in pp.entries.items():
         if val is not None and candidate[ks] != val:
-            return ExtensionCheck(False, f"entry {{{pp.subset_key(ks)}}} does not match")
+            key = subset_key(pp.ground_set, ks)
+            return ExtensionCheck(False, f"entry {{{key}}} does not match")
     for j, f in enumerate(pp.constraints):
         if eval_functional(f, candidate).sign() != 0:
             return ExtensionCheck(False, f"constraint #{j} ({f.render()}) violated")

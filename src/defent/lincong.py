@@ -35,7 +35,7 @@ from .gf import FieldSpec
 from .logval import LogValue, is_prime, log_of_rat
 from .polymatroid import Profile, subsets
 
-DEFAULT_BRUTEFORCE_BUDGET = 10**8
+BRUTEFORCE_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -304,15 +304,14 @@ def image_size(matrix: IntMatrix, m: int) -> int:
     return out
 
 
-def image_size_bruteforce(matrix: IntMatrix, m: int, *,
-                          budget: int = DEFAULT_BRUTEFORCE_BUDGET) -> int:
+def image_size_bruteforce(matrix: IntMatrix, m: int) -> int:
     """Independent oracle: enumerate all of (Z/m)^d and collect A x mod m."""
     if m < 2:
         raise DomainError("modulus must be >= 2")
     d = matrix.d
     total = m**d
-    if total > budget:
-        raise BudgetError(f"bruteforce needs {total} tuples (budget {budget})")
+    if total > BRUTEFORCE_BUDGET:
+        raise BudgetError(f"bruteforce needs {total} tuples (budget {BRUTEFORCE_BUDGET})")
     A = np.array(matrix.rows, dtype=np.int64)
     seen = []
     chunk = 1 << 20
@@ -347,8 +346,7 @@ def profile_lincong(matrix: IntMatrix, m: int) -> Profile:
     return Profile(matrix.labels, entries)
 
 
-def torus_profile(matrix: IntMatrix, spec: FieldSpec, *,
-                  budget: int = DEFAULT_BRUTEFORCE_BUDGET) -> Profile:
+def torus_profile(matrix: IntMatrix, spec: FieldSpec) -> Profile:
     """Profile of the uniform distribution on the monomial image of the torus.
 
     Enumerates (F_q^x)^d directly and pushes through t -> (t^a_1, ..., t^a_n);
@@ -360,8 +358,8 @@ def torus_profile(matrix: IntMatrix, spec: FieldSpec, *,
         raise DomainError("torus profile needs q >= 3")
     d = matrix.d
     total = m**d
-    if total > budget:
-        raise BudgetError(f"torus enumeration needs {total} tuples (budget {budget})")
+    if total > BRUTEFORCE_BUDGET:
+        raise BudgetError(f"torus enumeration needs {total} tuples (budget {BRUTEFORCE_BUDGET})")
     image = set()
     nonzero = [a for a in spec.elements() if a != 0]
     for t in itertools.product(nonzero, repeat=d):

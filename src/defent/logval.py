@@ -34,18 +34,18 @@ import mpmath
 from .errors import DomainError
 
 #: Trial division gives up past this bound (desk-scale inputs only).
-DEFAULT_FACTOR_CAP = 10**12
+FACTOR_CAP = 10**12
 
 _SIGN_START_PREC = 64
 _SIGN_MAX_PREC = 1 << 20
 
 
-def factorize(n: int, cap: int = DEFAULT_FACTOR_CAP) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
     """Prime factorization of a positive integer by trial division."""
     if n <= 0:
         raise DomainError(f"cannot factor non-positive integer {n}")
-    if n > cap:
-        raise DomainError(f"{n} exceeds the factorization cap {cap}")
+    if n > FACTOR_CAP:
+        raise DomainError(f"{n} exceeds the factorization cap {FACTOR_CAP}")
     out: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:
@@ -290,7 +290,7 @@ class LogValue:
             return Approx(value, bound + abs(value) * 2.3e-16)
         return Approx(mid, bound)
 
-    def normalize_base(self, base: int, bits: int = 53):
+    def normalize_base(self, base: int):
         """Divide by log(base); exact Fraction when possible, else Approx.
 
         The value is an exact rational multiple of log(base) precisely when
@@ -308,14 +308,14 @@ class LogValue:
                 return c
         items = list(self._terms.items())
         bitems = [(p, Fraction(e)) for p, e in bfact.items()]
-        prec = max(bits + 16, 64)
+        prec = 69  # 53 bits plus 16 guard bits
         while True:
             num = _iv_eval(items, prec)
             den = _iv_eval(bitems, prec)
             box = num / den
             rad = (mpmath.mpf(box.b) - mpmath.mpf(box.a)) / 2
             mid = (mpmath.mpf(box.a) + mpmath.mpf(box.b)) / 2
-            if rad <= mpmath.mpf(2) ** (-bits) * (abs(mid) + 1):
+            if rad <= mpmath.mpf(2) ** -53 * (abs(mid) + 1):
                 value = float(mid)
                 return Approx(value, float(rad) + abs(value) * 2.3e-16 + 5e-324)
             prec *= 2
@@ -347,13 +347,18 @@ class LogValue:
         return "LogValue(" + " + ".join(parts) + ")"
 
 
-def log_of_rat(r, cap: int = DEFAULT_FACTOR_CAP) -> LogValue:
-    """log of a positive rational, as the exact prime-exponent combination."""
+@functools.lru_cache(maxsize=4096)
+def log_of_rat(r) -> LogValue:
+    """log of a positive rational, as the exact prime-exponent combination.
+
+    Cached: profiles repeat the same counts, and a LogValue's terms never
+    change after construction, so every caller can share one value.
+    """
     r = Fraction(r)
     if r <= 0:
         raise DomainError(f"log of non-positive rational {r}")
-    terms = factorize(r.numerator, cap)
-    for p, e in factorize(r.denominator, cap).items():
+    terms = factorize(r.numerator)
+    for p, e in factorize(r.denominator).items():
         terms[p] = terms.get(p, 0) - e
     return LogValue._raw(terms)  # numerator and denominator share no prime
 

@@ -16,8 +16,10 @@ zero, and comparisons use certified signs, never floating thresholds.
 Subsets are walked (``subsets``), keyed in JSON (``subset_key``,
 ``parse_subset_key``, ``entries_to_json``) and combined into Shannon
 quantities (``cond_entropy``, ``cond_mi``, ``ingleton``) here and nowhere
-else: one walk, one codec, each quantity defined once.  A functional
-builder is the same formula evaluated on a profile whose h[S] is H(S).
+else: one walk, one codec, each quantity defined once.  Functionals are
+built by evaluating the same formulas on ``H``, the symbolic profile whose
+entry H[S] is the functional H(S): ``cond_mi(H, I, J, K)`` is the
+functional I(I:J|K), and ``H[S]`` itself is H(S).
 """
 
 from __future__ import annotations
@@ -119,9 +121,6 @@ class Profile:
     def __repr__(self):
         return f"Profile(n={len(self.ground_set)}, labels={self.ground_set})"
 
-    def subset_key(self, ks: frozenset) -> str:
-        return subset_key(self.ground_set, ks)
-
     def to_json(self) -> dict:
         return {
             "ground_set": list(self.ground_set),
@@ -182,19 +181,15 @@ def is_polymatroid(h: Profile) -> PolymatroidCheck:
     """
     gs = h.ground_set
     full = frozenset(gs)
-    if h[frozenset()] != _ZERO:
-        return PolymatroidCheck(False, "h(emptyset) != 0")
     for i in gs:
         if cond_entropy(h, (i,), full - {i}).sign() < 0:
             return PolymatroidCheck(False, f"h({i}|rest) < 0")
     for a, b in itertools.combinations(gs, 2):
-        rest = [v for v in gs if v not in (a, b)]
-        for r in range(len(rest) + 1):
-            for kc in itertools.combinations(rest, r):
-                if cond_mi(h, (a,), (b,), kc).sign() < 0:
-                    return PolymatroidCheck(
-                        False, f"h({a}:{b}|{','.join(kc) or 'empty'}) < 0"
-                    )
+        for k in subsets(v for v in gs if v not in (a, b)):
+            if cond_mi(h, (a,), (b,), k).sign() < 0:
+                return PolymatroidCheck(
+                    False, f"h({a}:{b}|{subset_key(gs, k) or 'empty'}) < 0"
+                )
     return PolymatroidCheck(True)
 
 
@@ -213,8 +208,6 @@ def is_modular(m: Profile) -> bool:
 
     Equivalently, at O(n 2^n): m(I) = sum of m(i) over i in I, all m(i) >= 0.
     """
-    if m[frozenset()] != _ZERO:
-        return False
     single = {v: m[v] for v in m.ground_set}
     if any(val.sign() < 0 for val in single.values()):
         return False
@@ -238,14 +231,12 @@ def convolve(h: Profile, m: Profile) -> Profile:
 
 @dataclass
 class LinFunctional:
-    """Sparse rational combination of profile entries, plus a constant.
+    """Sparse rational combination of profile entries.
 
-    The empty set never carries a coefficient (h(emptyset) = 0 identically);
-    an affine term is held in ``const`` instead.
+    The empty set never carries a coefficient (h(emptyset) = 0 identically).
     """
 
     coeffs: dict = dc_field(default_factory=dict)
-    const: LogValue = dc_field(default_factory=LogValue.zero)
 
     def __post_init__(self):
         canon = {}
@@ -260,27 +251,17 @@ class LinFunctional:
         out = dict(self.coeffs)
         for ks, c in other.coeffs.items():
             out[ks] = out.get(ks, Fraction(0)) + c
-        return LinFunctional(out, self.const + other.const)
+        return LinFunctional(out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c) -> "LinFunctional":
         c = Fraction(c)
-        return LinFunctional(
-            {ks: c * v for ks, v in self.coeffs.items()}, self.const.scale(c)
-        )
-
-    def evaluate(self, h: Profile) -> LogValue:
-        out = self.const
-        for ks, c in self.coeffs.items():
-            out = out + h[ks].scale(c)
-        return out
+        return LinFunctional({ks: c * v for ks, v in self.coeffs.items()})
 
     def render(self) -> str:
-        """DSL text of the functional (raises if a constant term is present)."""
-        if self.const != _ZERO:
-            raise DomainError("constant term has no DSL rendering")
+        """DSL text of the functional."""
         if not self.coeffs:
             return "0"
         parts = []
@@ -302,23 +283,7 @@ class _SymbolicProfile:
         return LinFunctional({_as_labelset(labels): Fraction(1)})
 
 
-_H = _SymbolicProfile()
-
-
-def entropy_of(S) -> LinFunctional:
-    return _H[S]
-
-
-def cond_entropy_functional(I, K) -> LinFunctional:
-    return cond_entropy(_H, I, K)
-
-
-def cond_mi_functional(I, J, K=()) -> LinFunctional:
-    return cond_mi(_H, I, J, K)
-
-
-def ingleton_functional(A, B, C, D) -> LinFunctional:
-    return ingleton(_H, A, B, C, D)
+H = _SymbolicProfile()
 
 
 _FUNC_TOKEN = re.compile(
@@ -375,22 +340,22 @@ def parse_functional(text: str) -> LinFunctional:
             take()
             if not s:
                 raise DomainError("H() needs at least one label")
-            return entropy_of(s)
+            return H[s]
         if head == "D":
             I = labels({"|"})
             take()
             K = labels({")"})
             take()
-            return cond_entropy_functional(I, K)
+            return cond_entropy(H, I, K)
         if head == "I":
             I = labels({":"})
             take()
             J = labels({"|", ")"})
             if take() == ")":
-                return cond_mi_functional(I, J)
+                return cond_mi(H, I, J)
             K = labels({")"})
             take()
-            return cond_mi_functional(I, J, K)
+            return cond_mi(H, I, J, K)
         if head == "ING":
             A = labels({":"})
             take()
@@ -400,7 +365,7 @@ def parse_functional(text: str) -> LinFunctional:
             take()
             D = labels({")"})
             take()
-            return ingleton_functional(A, B, C, D)
+            return ingleton(H, A, B, C, D)
         raise DomainError(f"unknown functional primitive {head!r}")
 
     if toks[:2] == ["0", ""]:
@@ -428,7 +393,7 @@ def eval_functional(f: LinFunctional, h: Profile) -> LogValue:
     for ks in f.coeffs:
         if not ks <= full:
             raise DomainError(f"functional uses labels {sorted(ks - full)} outside the profile")
-    return f.evaluate(h)
+    return sum((h[ks].scale(c) for ks, c in f.coeffs.items()), _ZERO)
 
 
 # -- the Kaced-Romashchenko closed-form family -----------------------------------
@@ -513,7 +478,7 @@ def kr_violation(q: int, eps) -> LogValue:
 
 
 def _odd_prime_powers(lo, hi):
-    for q in range(max(lo, 3), hi + 1):
+    for q in range(lo, hi + 1):
         pp = prime_power(q)
         if pp and pp[0] != 2:
             yield q
@@ -532,18 +497,18 @@ class ThresholdScan:
         return self.q_star is not None
 
 
-def scan_threshold(eps, q_max: int, q_min: int = 5) -> ThresholdScan:
-    """Scan odd prime powers for the first negative kr_violation value.
+def scan_threshold(eps, q_max: int) -> ThresholdScan:
+    """Scan odd prime powers 5 <= q <= q_max for the first negative kr_violation value.
 
     Also certifies the sign at the preceding prime power in the range.
     Finding no violation is reported, not an error.
     """
-    if q_max < q_min:
+    if q_max < 5:
         raise DomainError("empty scan range")
     eps = Fraction(eps)
     prev_q = None
     prev_val = None
-    for q in _odd_prime_powers(q_min, q_max):
+    for q in _odd_prime_powers(5, q_max):
         val = kr_violation(q, eps)
         if val.sign() < 0:
             return ThresholdScan(eps, q, prev_q, val, prev_val)
@@ -566,17 +531,17 @@ def dfz_family(s: int, *, corrected: bool = False, labels=("A", "B", "C", "D")) 
     A, B, C, D = labels
     c1 = Fraction(2 ** (s - 1) - 1)
     w = Fraction(2 ** (s - 1) * (s - 1), 2**s - 2)
-    third = cond_mi_functional(B, C, D if corrected else C)
+    third = cond_mi(H, B, C, D if corrected else C)
     inner = (
-        ingleton_functional(A, B, C, D)
-        - cond_mi_functional(B, C, D)
-        - cond_mi_functional(B, D, C)
-        + cond_mi_functional(C, D, A).scale(1 / c1)
+        ingleton(H, A, B, C, D)
+        - cond_mi(H, B, C, D)
+        - cond_mi(H, B, D, C)
+        + cond_mi(H, C, D, A).scale(1 / c1)
         + (
-            cond_mi_functional(A, C, D)
-            + cond_mi_functional(A, D, C)
+            cond_mi(H, A, C, D)
+            + cond_mi(H, A, D, C)
             + third
-            + cond_mi_functional(B, D, C)
+            + cond_mi(H, B, D, C)
         ).scale(w)
     )
     return inner.scale(c1)

@@ -153,9 +153,11 @@ def test_tables_match_field_arithmetic_sampled(p):
 def test_engine_cache_is_bounded():
     specs = [field(p) for p in (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)]
     assert len(specs) > enumeration._ENGINE_CACHE
-    for spec in specs:
-        get_engine(spec)
-    assert list(enumeration._ENGINES) == specs[-enumeration._ENGINE_CACHE:]
-    get_engine(specs[-enumeration._ENGINE_CACHE])  # a hit moves to the back
-    assert list(enumeration._ENGINES)[-1] == specs[-enumeration._ENGINE_CACHE]
+    engines = [get_engine(spec) for spec in specs]
+    assert get_engine.cache_info().currsize == enumeration._ENGINE_CACHE
+    oldest = -enumeration._ENGINE_CACHE
+    assert get_engine(specs[oldest]) is engines[oldest]  # a hit makes it the newest
+    get_engine(field(59))  # evicts the next oldest instead
+    assert get_engine(specs[oldest]) is engines[oldest]
+    assert get_engine(specs[oldest + 1]) is not engines[oldest + 1]
 

@@ -238,6 +238,9 @@ def test_partial_profile_json_round_trip():
     assert back.entries == pp.entries
     assert [f.coeffs for f in back.constraints] == [f.coeffs for f in pp.constraints]
     assert blob["entries"]["x,y,z"] is None
+    for bad in ({}, {"ground_set": ["x"], "entries": []}):
+        with pytest.raises(DomainError, match="malformed partial profile JSON"):
+            PartialProfile.from_json(bad)
 
 
 def test_fresh_label_collision():

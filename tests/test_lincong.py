@@ -67,7 +67,7 @@ def test_image_size_bruteforce_examples():
     assert image_size_bruteforce(IntMatrix.from_rows([(1, 0), (0, 1)]), 4) == 16
     assert image_size_bruteforce(IntMatrix.from_rows([(2,)]), 6) == 3
     with pytest.raises(BudgetError):
-        image_size_bruteforce(IntMatrix.from_rows([(1, 1, 1, 1)]), 100, budget=10**6)
+        image_size_bruteforce(IntMatrix.from_rows([(1, 1, 1, 1, 1)]), 100)
 
 
 def test_image_size_oracle_sample():

@@ -27,8 +27,7 @@ def test_log_of_rat_rejects_nonpositive():
 def test_factorization_cap():
     with pytest.raises(DomainError):
         log_of_rat(10**13)
-    # configurable cap
-    assert log_of_rat(10**13, cap=10**13).terms == {2: 13, 5: 13}
+    assert log_of_rat(10**12).terms == {2: 12, 5: 12}
 
 
 def test_nonprime_key_rejected():

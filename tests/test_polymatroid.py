@@ -25,12 +25,7 @@ from defent import (
     scan_threshold,
     zero_profile,
 )
-from defent.polymatroid import (
-    LinFunctional,
-    cond_mi_functional,
-    entropy_of,
-    ingleton_functional,
-)
+from defent.polymatroid import H, LinFunctional, subsets
 
 Z = LogValue.zero()
 L2 = log_of_rat(2)
@@ -124,7 +119,14 @@ def test_is_polymatroid_examples():
     assert is_polymatroid(dep)
     bad = make_profile("12", {"": Z, "1": L2, "2": L2, "12": L2.scale(3)})
     chk = is_polymatroid(bad)
-    assert not chk and "1:2" in chk.violation
+    assert not chk and chk.violation == "h(1:2|empty) < 0"
+    # h(i|rest) is checked first, in ground-set order
+    shrinks = make_profile("yx", {"": Z, "y": L2, "x": L2, "xy": Z})
+    assert is_polymatroid(shrinks).violation == "h(y|rest) < 0"
+    # the first failing K is named in ground-set order, not sorted
+    gs = ("z", "a", "m", "b")
+    top = {ks: L2.scale(len(ks)) for ks in subsets(gs)} | {frozenset(gs): L2.scale(5)}
+    assert is_polymatroid(Profile(gs, top)).violation == "h(z:a|m,b) < 0"
 
 
 def test_factor_examples(two_bits):
@@ -228,7 +230,7 @@ def test_parse_functional_examples():
     g = parse_functional("H(A,B) - H(A)")
     assert g.coeffs == {frozenset("AB"): 1, frozenset("A"): -1}
     ing = parse_functional("ING(A:B|C:D)")
-    assert ing.coeffs == ingleton_functional("A", "B", "C", "D").coeffs
+    assert ing.coeffs == ingleton(H, "A", "B", "C", "D").coeffs
     assert len(ing.coeffs) == 10
     scaled = parse_functional("2/3 H(x) - I(x:y|z) + 1 D(y|x)")
     assert scaled.coeffs[frozenset(["x"])] == Fraction(2, 3) - 1
@@ -304,20 +306,20 @@ def test_dfz_family():
     # ING - I(B:C|D) - I(B:D|C) + I(C:D|A) + 1/2 (I(A:C|D) + I(A:D|C) + I(B:D|C))
     w = Fraction(2, 2)  # 2^(s-1)(s-1)/(2^s - 2) at s = 2
     expected = (
-        ingleton_functional("A", "B", "C", "D")
-        - cond_mi_functional("B", "C", "D")
-        - cond_mi_functional("B", "D", "C")
-        + cond_mi_functional("C", "D", "A")
+        ingleton(H, "A", "B", "C", "D")
+        - cond_mi(H, "B", "C", "D")
+        - cond_mi(H, "B", "D", "C")
+        + cond_mi(H, "C", "D", "A")
         + (
-            cond_mi_functional("A", "C", "D")
-            + cond_mi_functional("A", "D", "C")
-            + cond_mi_functional("B", "D", "C")
+            cond_mi(H, "A", "C", "D")
+            + cond_mi(H, "A", "D", "C")
+            + cond_mi(H, "B", "D", "C")
         ).scale(w)
     )
     assert f.coeffs == expected.coeffs
     g = dfz_family(2, corrected=True)
     diff = LinFunctional(dict(g.coeffs)) - LinFunctional(dict(f.coeffs))
-    assert diff.coeffs == cond_mi_functional("B", "C", "D").scale(w).coeffs
+    assert diff.coeffs == cond_mi(H, "B", "C", "D").scale(w).coeffs
     with pytest.raises(DomainError):
         dfz_family(1)
 
@@ -338,4 +340,4 @@ def test_gmm_check_examples():
 
 
 def test_entropy_of_builder(two_bits):
-    assert eval_functional(entropy_of(("1", "2")), two_bits) == two_bits[("1", "2")]
+    assert eval_functional(H[("1", "2")], two_bits) == two_bits[("1", "2")]
