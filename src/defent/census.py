@@ -94,14 +94,10 @@ class CensusTable:
 class AsymptoticEstimate:
     d: int
     mu: Fraction
-    residue: int = 0
-    modulus: int = 1
 
     def __post_init__(self):
         if self.mu <= 0:
             raise DomainError("measure must be positive")
-        if not 0 <= self.residue < self.modulus:
-            raise DomainError("residue must lie in [0, modulus)")
 
 
 @dataclass(frozen=True)
@@ -124,14 +120,6 @@ def _subset_columns(dset, I):
     return cols, tuple(dset.free_vars[j] for j in cols)
 
 
-def _projection_keys(points: np.ndarray, cols, q: int) -> np.ndarray:
-    key = points[cols[0]].astype(np.int64, copy=True)
-    for c in cols[1:]:
-        key *= q
-        key += points[c]
-    return key
-
-
 def _histogram_from_points(points, cols, subset_labels, q):
     total = int(points.shape[1])
     if not cols:
@@ -139,7 +127,10 @@ def _histogram_from_points(points, cols, subset_labels, q):
         return FiberHistogram(tuple(subset_labels), total, buckets, 1 if not total else 0)
     if q ** len(cols) >= 2**62:
         raise DomainError("projection space too large to key")
-    keys = _projection_keys(points, cols, q)
+    keys = points[cols[0]].astype(np.int64, copy=True)
+    for c in cols[1:]:
+        keys *= q
+        keys += points[c]
     _, counts = np.unique(keys, return_counts=True)
     sizes, mult = np.unique(counts, return_counts=True)
     buckets = {int(s): int(n) for s, n in zip(sizes, mult)}
@@ -147,11 +138,10 @@ def _histogram_from_points(points, cols, subset_labels, q):
     return FiberHistogram(tuple(subset_labels), total, buckets, outside)
 
 
-def fiber_histogram(dset: DefinableSet, I, spec: FieldSpec, *, jobs: int = 1,
-                    max_evals: int = DEFAULT_MAX_EVALS) -> FiberHistogram:
+def fiber_histogram(dset: DefinableSet, I, spec: FieldSpec) -> FiberHistogram:
     """Exact fiber-size census of the projection of X(G) onto the variables I."""
     cols, labels = _subset_columns(dset, I)
-    points = collect_points(dset, spec, jobs=jobs, max_evals=max_evals)
+    points = collect_points(dset, spec)
     return _histogram_from_points(points, cols, labels, spec.q)
 
 
@@ -182,24 +172,17 @@ def entropy_profile(dset: DefinableSet, spec: FieldSpec, *, jobs: int = 1,
     return Profile(dset.free_vars, entries)
 
 
-def marginal_distribution(dset: DefinableSet, I, spec: FieldSpec, *, jobs: int = 1,
-                          max_evals: int = DEFAULT_MAX_EVALS) -> Distribution:
+def marginal_distribution(dset: DefinableSet, I, spec: FieldSpec) -> Distribution:
     """The marginal of the uniform distribution on X(G) on the variables I."""
     cols, labels = _subset_columns(dset, I)
-    points = collect_points(dset, spec, jobs=jobs, max_evals=max_evals)
+    points = collect_points(dset, spec)
     total = int(points.shape[1])
     if total == 0:
         raise DomainError(f"empty definable set: {dset.name} over {spec!r}")
     if not cols:
         return Distribution((), {(): Fraction(1)}, {})
-    keys, counts = np.unique(_projection_keys(points, cols, spec.q), return_counts=True)
-    probs = {}
-    for key, c in zip(keys.tolist(), counts.tolist()):
-        outcome = []
-        for _ in cols:
-            outcome.append(int(key % spec.q))
-            key //= spec.q
-        probs[tuple(reversed(outcome))] = Fraction(int(c), total)
+    outcomes, counts = np.unique(points[cols], axis=1, return_counts=True)
+    probs = {tuple(o): Fraction(c, total) for o, c in zip(outcomes.T.tolist(), counts.tolist())}
     alphabets = {v: tuple(range(spec.q)) for v in labels}
     return Distribution(tuple(labels), probs, alphabets)
 
@@ -245,7 +228,7 @@ def _row_qc(row):
     return int(q), int(c)
 
 
-def estimate_dim_measure(rows, *, residue: int = 0, modulus: int = 1) -> AsymptoticEstimate:
+def estimate_dim_measure(rows) -> AsymptoticEstimate:
     """Recover (d, mu) with count ~ mu * q^d from two or more census rows.
 
     The dimension comes from the count ratio of the two largest rows; the
@@ -277,7 +260,7 @@ def estimate_dim_measure(rows, *, residue: int = 0, modulus: int = 1) -> Asympto
             "count deviates from mu*q^d beyond the allowed error",
             mu=mu, estimate=x, rows=data,
         )
-    return AsymptoticEstimate(d, mu, residue, modulus)
+    return AsymptoticEstimate(d, mu)
 
 
 def detect_period(table: CensusTable, m_max: int) -> PeriodReport:
@@ -299,12 +282,8 @@ def detect_period(table: CensusTable, m_max: int) -> PeriodReport:
         estimates = {}
         reason = None
         for res, rs in sorted(classes.items()):
-            pair_estimates = []
             try:
-                for a, b in zip(rs, rs[1:]):
-                    pair_estimates.append(
-                        estimate_dim_measure([a, b], residue=res, modulus=m)
-                    )
+                pair_estimates = [estimate_dim_measure([a, b]) for a, b in zip(rs, rs[1:])]
             except EstimationError as exc:
                 reason = f"class {res}: {exc}"
                 break

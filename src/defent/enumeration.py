@@ -274,7 +274,7 @@ def _additive_split(node):
         return None
     xonly, xfree = [], []
     for sign, u in _summands(body.term):
-        vs = rl.term_vars(u)
+        vs = set(rl.free_vars(u))
         if node.var not in vs:
             xfree.append((sign, u))
         elif vs == {node.var}:

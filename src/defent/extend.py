@@ -209,9 +209,6 @@ class PartialProfile:
             raise DomainError("h(emptyset) must be 0")
         self.entries = canon
 
-    def defined(self):
-        return {ks: v for ks, v in self.entries.items() if v is not None}
-
     def to_json(self) -> dict:
         return {
             "ground_set": list(self.ground_set),

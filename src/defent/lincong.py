@@ -79,9 +79,6 @@ class IntMatrix:
             raise DomainError("empty row subset")
         return IntMatrix(tuple(l for l, _ in keep), tuple(r for _, r in keep))
 
-    def to_json(self):
-        return {"labels": list(self.labels), "rows": [list(r) for r in self.rows]}
-
 
 def parse_matrix(text: str) -> IntMatrix:
     """Matrix text: one row per line, optional 'label:' prefix; or JSON."""

@@ -3,18 +3,19 @@
 Logarithms of distinct primes are linearly independent over the rationals
 (a product of prime powers equals 1 only when all exponents vanish), so a
 value sum_p c_p*log(p) with rational c_p is zero exactly when every
-coefficient is zero.  This makes the zero test structural, and every other
-sign decision reduces to interval arithmetic at a precision that is doubled
-until the enclosure excludes zero, which must happen for a provably nonzero
-number.
+coefficient is zero.  This makes the zero test structural.
 
-Signs are decided in integers.  For each prime p and binary precision k a
+Every numeric read -- a sign, a float, a quotient by log(base) -- comes from
+one ladder of integer enclosures.  For each prime p and binary precision k a
 cached helper holds integers lo <= 2^k * log(p) <= hi, rounded outward from
-a rigorous mpmath interval; a sign then scales the coefficients to integers
-by their common denominator and sums n*lo and n*hi.  Coefficients are
-stored in one canonical form: an ``int`` when integral (image sizes and
-counts give integer exponents), otherwise a ``Fraction`` with denominator
-greater than 1, so most arithmetic stays in Python ints.
+a rigorous mpmath interval of log(p), mpmath's only use here.  Scaled to
+integers by their common denominator, the coefficients then bound the value
+from both sides at k = 64, 128, ... bits.  A sign stops at the first rung
+that excludes zero, a float at the first whose ends round to one double, so
+every float is correctly rounded.  Both stops are reached: a nonzero value
+is the log of a rational other than 1, hence transcendental.  Coefficients
+are stored as an ``int`` when integral, otherwise as a ``Fraction`` with
+denominator greater than 1, so most arithmetic stays in Python ints.
 
 All entropies of uniform distributions on finite supports live in this
 ring of values: logs of integer counts and rational probabilities.
@@ -36,8 +37,8 @@ from .errors import DomainError
 #: Trial division gives up past this bound (desk-scale inputs only).
 FACTOR_CAP = 10**12
 
-_SIGN_START_PREC = 64
-_SIGN_MAX_PREC = 1 << 20
+_START_PREC = 64
+_MAX_PREC = 1 << 20
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -81,25 +82,21 @@ def is_prime(n: int) -> bool:
 class Approx(NamedTuple):
     """A certified numeric evaluation: |value - truth| <= bound.
 
-    The value is an arbitrary-precision mpmath float when more than double
-    precision was requested (so the bound stays meaningful); float() it for
-    display.
+    The value is always a float, the correctly rounded double of the truth,
+    so the bound |value| * 2^-53 covers its half-ulp rounding error.
     """
 
-    value: object
+    value: float
     bound: float
 
 
-def _iv_eval(items, prec):
-    """Interval enclosure of sum c*log(p) at the given binary precision."""
+def _iv_eval(p: int, prec: int):
+    """Interval enclosure of log(p) at the given binary precision."""
     iv = mpmath.iv
     old = iv.prec
     iv.prec = prec
     try:
-        total = iv.mpf(0)
-        for p, c in items:
-            total += (iv.mpf(c.numerator) / iv.mpf(c.denominator)) * iv.log(p)
-        return total
+        return iv.log(p)
     finally:
         iv.prec = old
 
@@ -108,7 +105,7 @@ def _iv_eval(items, prec):
 def _log_bounds(p: int, prec: int) -> tuple[int, int]:
     """Integers lo <= 2^prec * log(p) <= hi, from an outward-rounded interval."""
     work = prec + 16
-    box = _iv_eval([(p, 1)], work)
+    box = _iv_eval(p, work)
     with mpmath.workprec(work):  # the endpoints convert exactly at their own precision
         (ma, ea), (mb, eb) = mpmath.mpf(box.a).man_exp, mpmath.mpf(box.b).man_exp
     ea, eb = ea + prec, eb + prec
@@ -211,27 +208,22 @@ class LogValue:
 
     __rmul__ = __mul__
 
-    # -- sign, comparison --------------------------------------------------
+    # -- enclosures, sign, comparison ----------------------------------------
 
-    def sign(self) -> int:
-        """Certified sign in {-1, 0, +1}.
+    def _enclosures(self):
+        """Integers (lo, hi, scale) with lo <= scale * value <= hi, ever tighter.
 
-        Zero is structural (empty term map).  Otherwise the coefficients are
-        scaled to integers n_p by their common denominator, and the cached
-        integer enclosures lo_p <= 2^k log(p) <= hi_p bound 2^k times the
-        scaled value from both sides; k starts at 64 bits and doubles until
-        the bounds exclude zero.
+        The coefficients are scaled to integers n_p by their common
+        denominator den, and the cached enclosures lo_p <= 2^k log(p) <= hi_p
+        bound den * 2^k times the value from both sides; k starts at 64 bits
+        and doubles up to 2^20.  Callers settle the zero value (no terms) first.
         """
-        if not self._terms:
-            return 0
-        if self._sign is not None:
-            return self._sign
-        den = math.lcm(*(c.denominator for c in self._terms.values()))
-        scaled = [(p, c.numerator * (den // c.denominator)) for p, c in self._terms.items()]
-        prec = _SIGN_START_PREC
-        while prec <= _SIGN_MAX_PREC:
+        den = math.lcm(*[c.denominator for c in self._terms.values()])
+        prec = _START_PREC
+        while prec <= _MAX_PREC:
             lo = hi = 0
-            for p, n in scaled:
+            for p, c in self._terms.items():
+                n = c.numerator * (den // c.denominator)
                 a, b = _log_bounds(p, prec)
                 if n > 0:
                     lo += n * a
@@ -239,11 +231,24 @@ class LogValue:
                 else:
                     lo += n * b
                     hi += n * a
-            if lo > 0 or hi < 0:
-                self._sign = 1 if lo > 0 else -1
-                return self._sign
+            yield lo, hi, den << prec
             prec *= 2
-        raise RuntimeError(f"sign undecided at precision {_SIGN_MAX_PREC}: {self!r}")
+        raise RuntimeError(f"undecided at precision {_MAX_PREC}: {self!r}")
+
+    def sign(self) -> int:
+        """Certified sign in {-1, 0, +1}.
+
+        Zero is structural (empty term map); otherwise the first enclosure
+        that excludes zero decides, and the result is memoised.
+        """
+        if not self._terms:
+            return 0
+        if self._sign is None:
+            for lo, hi, _ in self._enclosures():
+                if lo > 0 or hi < 0:
+                    self._sign = 1 if lo > 0 else -1
+                    break
+        return self._sign
 
     def __eq__(self, other):
         if isinstance(other, LogValue):
@@ -267,34 +272,28 @@ class LogValue:
 
     # -- numeric evaluation --------------------------------------------------
 
-    def to_float(self, bits: int = 53) -> Approx:
-        """Certified numeric evaluation with an absolute error bound.
+    def to_float(self) -> Approx:
+        """The correctly rounded double of the value.
 
-        The bound satisfies bound <= 2^(1-bits) * (1 + sum |c_p| log p).
-        For bits <= 53 the value is a plain float; beyond that it is an
-        mpmath float carrying the requested precision.
+        Stops at the first enclosure whose ends lo/scale and hi/scale, each a
+        correctly rounded int/int division, are the same double: the value
+        lies between them and so rounds there too.
         """
-        if bits < 1:
-            raise DomainError("bits must be >= 1")
         if not self._terms:
             return Approx(0.0, 0.0)
-        prec = max(bits + 16, 64)
-        box = _iv_eval(list(self._terms.items()), prec)
-        with mpmath.workprec(prec + 8):
-            mid = (mpmath.mpf(box.a) + mpmath.mpf(box.b)) / 2
-            rad = (mpmath.mpf(box.b) - mpmath.mpf(box.a)) / 2
-            rad += abs(mid) * mpmath.mpf(2) ** (-(prec + 4))
-        bound = float(rad) * (1 + 1e-12) + 5e-324
-        if bits <= 53:
-            value = float(mid)
-            return Approx(value, bound + abs(value) * 2.3e-16)
-        return Approx(mid, bound)
+        for lo, hi, scale in self._enclosures():
+            value = lo / scale
+            if value == hi / scale:
+                return Approx(value, abs(value) * 2**-53)
 
     def normalize_base(self, base: int):
         """Divide by log(base); exact Fraction when possible, else Approx.
 
         The value is an exact rational multiple of log(base) precisely when
         the term map is proportional to the prime factorization of base.
+        Otherwise the quotient is irrational, and the enclosures of the value
+        and of log(base) are read together until the four endpoint quotients
+        round to one double, the correctly rounded quotient.
         """
         if base < 2:
             raise DomainError("base must be an integer >= 2")
@@ -306,19 +305,12 @@ class LogValue:
             c = Fraction(self._terms[p0], e0)
             if all(self._terms[p] == c * e for p, e in bfact.items()):
                 return c
-        items = list(self._terms.items())
-        bitems = [(p, Fraction(e)) for p, e in bfact.items()]
-        prec = 69  # 53 bits plus 16 guard bits
-        while True:
-            num = _iv_eval(items, prec)
-            den = _iv_eval(bitems, prec)
-            box = num / den
-            rad = (mpmath.mpf(box.b) - mpmath.mpf(box.a)) / 2
-            mid = (mpmath.mpf(box.a) + mpmath.mpf(box.b)) / 2
-            if rad <= mpmath.mpf(2) ** -53 * (abs(mid) + 1):
-                value = float(mid)
-                return Approx(value, float(rad) + abs(value) * 2.3e-16 + 5e-324)
-            prec *= 2
+        for (lo, hi, s), (blo, bhi, bs) in zip(self._enclosures(),
+                                               LogValue._raw(bfact)._enclosures()):
+            ends = {x * bs / (s * y) for x in (lo, hi) for y in (blo, bhi)}
+            if len(ends) == 1:
+                value = ends.pop()
+                return Approx(value, abs(value) * 2**-53)
 
     # -- serialization -------------------------------------------------------
 

@@ -118,21 +118,6 @@ class DefinableSet:
         return dict(self.blocks)
 
 
-def term_vars(t) -> set:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, Const):
-        return set()
-    if isinstance(t, Neg):
-        return term_vars(t.arg)
-    if isinstance(t, Pow):
-        return term_vars(t.base)
-    out = set()
-    for a in t.args:
-        out |= term_vars(a)
-    return out
-
-
 def free_vars(phi) -> list:
     """Free variables in order of first occurrence."""
     out = []
@@ -226,10 +211,6 @@ class _Parser:
         if val != value or kind == "eof":
             raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}", line, col)
         return self.next()
-
-    def error(self, msg):
-        _, val, line, col = self.peek()
-        raise ParseError(msg, line, col)
 
     def name(self, what="name"):
         kind, val, line, col = self.peek()

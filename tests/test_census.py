@@ -154,6 +154,18 @@ def test_marginal_distribution_examples(hyp_set):
     assert empty.probs == {(): Fraction(1)}
 
 
+def test_marginal_distribution_matches_oracle(cubic_proj_set):
+    # (a, c) skips the middle column b of CubP(a, b, c)
+    for spec in (field(3), field(2, 2), field(5)):
+        support = [t for t in itertools.product(spec.elements(), repeat=3)
+                   if eval_formula(cubic_proj_set.formula, dict(zip("abc", t)), spec)]
+        counts = Counter((a, c) for a, _, c in support)
+        want = {k: Fraction(n, len(support)) for k, n in sorted(counts.items())}
+        got = marginal_distribution(cubic_proj_set, ["c", "a"], spec)
+        assert got.ground_set == ("a", "c")
+        assert list(got.probs.items()) == list(want.items())
+
+
 def test_tower_census_examples(hyp_set, sqrt_set, cubic_proj_set):
     t = tower_census(sqrt_set, 7, 4)
     assert [r.count for r in t.rows] == [1, 49, 1, 2401]

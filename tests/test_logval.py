@@ -59,11 +59,11 @@ def test_sign_close_to_zero():
 
 
 def test_to_float_examples():
-    val, bound = LogValue({2: 1}).to_float(53)
-    assert abs(val - math.log(2)) <= bound < 1e-15
+    val, bound = LogValue({2: 1}).to_float()
+    assert val == math.log(2) and bound == math.log(2) * 2**-53
     assert LogValue.zero().to_float() == Approx(0.0, 0.0)
-    val, _ = LogValue({7: 3}).to_float(53)
-    assert abs(val - 3 * math.log(7)) < 1e-12
+    val, _ = LogValue({7: 3}).to_float()
+    assert type(val) is float and abs(val - 3 * math.log(7)) < 1e-12
 
 
 def test_to_float_error_contract():
@@ -71,12 +71,11 @@ def test_to_float_error_contract():
     for _ in range(25):
         terms = {p: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for p in (2, 3, 5, 7, 11)}
         v = LogValue({p: c for p, c in terms.items() if c})
-        for bits in (8, 24, 53, 80):
-            val, bound = v.to_float(bits)
-            scale = 1 + sum(abs(float(c)) * math.log(p) for p, c in v.terms.items())
-            assert bound <= 2.0 ** (1 - bits) * scale + 1e-30
-            hi = v.to_float(bits + 64)
-            assert abs(val - hi.value) <= bound + hi.bound
+        val, bound = v.to_float()
+        scale = 1 + sum(abs(float(c)) * math.log(p) for p, c in v.terms.items())
+        assert bound <= 2.0**-52 * scale
+        with mpmath.workprec(300):
+            assert abs(val - mpmath_value(v.terms)) <= bound
 
 
 def test_normalize_base_exact():
@@ -175,6 +174,28 @@ def test_sign_matches_integer_oracle(a_terms, b_terms):
     assert (a < b, a == b, a > b) == (s < 0, s == 0, s > 0)
 
 
+def mpmath_value(terms, base=None):
+    """sum c_p log p (divided by log base), as an mpmath float at the working precision."""
+    total = mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator * mpmath.log(p)
+                        for p, c in terms.items())
+    return total / mpmath.log(base) if base else total
+
+
+def rounded(terms, base=None) -> float:
+    """The correctly rounded double of the value, from 300 bits."""
+    with mpmath.workprec(300):
+        return float(mpmath_value(terms, base))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(exponent_maps, st.sampled_from((2, 3, 6, 7, 10, 12)))
+def test_floats_are_correctly_rounded(terms, base):
+    v = LogValue(terms)
+    assert v.to_float().value == rounded(v.terms)
+    out = v.normalize_base(base)
+    assert float(out if isinstance(out, Fraction) else out.value) == rounded(v.terms, base)
+
+
 def canonical(v: LogValue) -> bool:
     return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
                for c in v._terms.values())
@@ -191,7 +212,10 @@ def test_ring_laws(a_terms, b_terms, k):
         assert canonical(v), v
 
 
-@pytest.mark.parametrize("n3, n2", [(6189245291, 9809721694), (6586818670, 10439860591)])
+LOG2_3_CONVERGENTS = [(6189245291, 9809721694), (6586818670, 10439860591)]
+
+
+@pytest.mark.parametrize("n3, n2", LOG2_3_CONVERGENTS)
 def test_sign_escalates_past_a_straddling_enclosure(n3, n2):
     # continued-fraction convergents of log2(3): |n3 log 3 - n2 log 2| ~ 1e-10
     v = LogValue({3: n3, 2: -n2})
@@ -201,6 +225,16 @@ def test_sign_escalates_past_a_straddling_enclosure(n3, n2):
         exact = n3 * mpmath.log(3) - n2 * mpmath.log(2)
     assert abs(exact) < 1e-10
     assert v.sign() == (1 if exact > 0 else -1)
+
+
+@pytest.mark.parametrize("n3, n2", LOG2_3_CONVERGENTS)
+@pytest.mark.parametrize("base", (2, 3, 6, 7, 10, 12))
+def test_floats_climb_past_64_bits(n3, n2, base):
+    v = LogValue({3: n3, 2: -n2})
+    lo, hi, scale = next(v._enclosures())
+    assert lo / scale != hi / scale      # 64 bits do not fix the double
+    assert v.to_float().value == rounded(v.terms)
+    assert v.normalize_base(base).value == rounded(v.terms, base)
 
 
 def test_log_bounds_enclose():
