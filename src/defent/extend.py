@@ -16,8 +16,10 @@ the functional DSL.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import lcm
 
 from .errors import DomainError, malformed
 from .logval import LogValue, log_of_rat
@@ -87,12 +89,14 @@ class Distribution:
 
     def marginal(self, I) -> dict:
         """Map from projected outcomes on I (in ground-set order) to probability."""
-        idx = [i for i, v in enumerate(self.ground_set) if v in set(I)]
-        out: dict[tuple, Fraction] = {}
+        want = set(I)
+        idx = [i for i, v in enumerate(self.ground_set) if v in want]
+        den = lcm(*(pr.denominator for pr in self.probs.values()))
+        out: dict[tuple, int] = {}
         for o, pr in self.probs.items():
             key = tuple(o[i] for i in idx)
-            out[key] = out.get(key, Fraction(0)) + pr
-        return out
+            out[key] = out.get(key, 0) + pr.numerator * (den // pr.denominator)
+        return {key: Fraction(n, den) for key, n in out.items()}
 
     def to_json(self) -> dict:
         return {
@@ -126,9 +130,10 @@ class Distribution:
 
 
 def dist_entropy_profile(p: Distribution) -> Profile:
-    """Exact entropy profile of a rational distribution."""
+    """Exact entropy profile of a rational distribution, summed per distinct probability."""
     entries = {
-        ks: sum((log_of_rat(1 / pr).scale(pr) for pr in p.marginal(ks).values()), _ZERO)
+        ks: sum((log_of_rat(1 / pr).scale(k * pr)
+                 for pr, k in Counter(p.marginal(ks).values()).items()), _ZERO)
         for ks in subsets(p.ground_set)
     }
     return Profile(p.ground_set, entries)

@@ -25,14 +25,14 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
 from .errors import BudgetError, DomainError, malformed
 from .extend import Distribution, dist_entropy_profile
 from .gf import FieldSpec
-from .logval import LogValue, is_prime, log_of_rat
+from .logval import is_prime, log_of_rat
 from .polymatroid import Profile, subsets
 
 BRUTEFORCE_BUDGET = 10**8
@@ -291,14 +291,23 @@ def _snf_diagonal(rows: tuple) -> tuple:
     return snf(rows).diagonal
 
 
-def image_size(matrix: IntMatrix, m: int) -> int:
-    """Order of the column span of A mod m inside (Z/m)^n, via SNF."""
+@functools.lru_cache(maxsize=1 << 10)
+def _subset_diagonals(matrix: IntMatrix) -> tuple:
+    """(row subset, SNF diagonal of its rows) for every subset, in ``subsets`` order."""
+    return tuple((ks, _snf_diagonal(matrix.submatrix(ks).rows) if ks else ())
+                 for ks in subsets(matrix.labels))
+
+
+def _image_order(diagonal, m: int) -> int:
+    """prod_i m / gcd(m, s_i), with gcd(m, 0) = m."""
     if m < 2:
         raise DomainError("modulus must be >= 2")
-    out = 1
-    for s in _snf_diagonal(matrix.rows):
-        out *= m // gcd(m, s) if s else 1  # gcd(m, 0) = m
-    return out
+    return prod(m // gcd(m, s) for s in diagonal)
+
+
+def image_size(matrix: IntMatrix, m: int) -> int:
+    """Order of the column span of A mod m inside (Z/m)^n, via SNF."""
+    return _image_order(_snf_diagonal(matrix.rows), m)
 
 
 def image_size_bruteforce(matrix: IntMatrix, m: int) -> int:
@@ -334,12 +343,7 @@ def profile_lincong(matrix: IntMatrix, m: int) -> Profile:
     h(I) = log |im(A_I mod m)| for every row subset I; quasi-uniformity
     makes each marginal exactly uniform on its image.
     """
-    if m < 2:
-        raise DomainError("modulus must be >= 2")
-    entries = {
-        ks: log_of_rat(image_size(matrix.submatrix(ks), m)) if ks else LogValue.zero()
-        for ks in subsets(matrix.labels)
-    }
+    entries = {ks: log_of_rat(_image_order(diag, m)) for ks, diag in _subset_diagonals(matrix)}
     return Profile(matrix.labels, entries)
 
 
@@ -385,11 +389,7 @@ def _monomial(spec, t, exponents):
 
 def dirichlet_modulus(matrix: IntMatrix) -> int:
     """lcm of all nonzero SNF diagonal entries over all row submatrices."""
-    s = 1
-    for ks in subsets(matrix.labels):
-        if ks:
-            s = lcm(s, *(e for e in _snf_diagonal(matrix.submatrix(ks).rows) if e))
-    return s
+    return lcm(*(s for _, diag in _subset_diagonals(matrix) for s in diag if s))
 
 
 def suggest_primes(s: int, count: int) -> list:

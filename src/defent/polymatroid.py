@@ -11,7 +11,9 @@ Kaced-Romashchenko configuration together with its essential-conditionality
 scan.
 
 All checks are exact: a functional is zero iff its LogValue is structurally
-zero, and comparisons use certified signs, never floating thresholds.
+zero, and comparisons use certified signs, never floating thresholds.  The
+elemental Shannon check evaluates its inequalities as integer rows over the
+profile's prime-exponent matrix, so an all-zero row needs no sign.
 
 Subsets are walked (``subsets``), keyed in JSON (``subset_key``,
 ``parse_subset_key``, ``entries_to_json``) and combined into Shannon
@@ -24,7 +26,9 @@ functional I(I:J|K), and ``H[S]`` itself is H(S).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -173,23 +177,51 @@ class PolymatroidCheck:
         return self.ok
 
 
+@functools.lru_cache(maxsize=None)
+def _elemental_rows(n: int) -> tuple:
+    """Bitmask rows (S1, S2, S3, S4), value h(S1) + h(S2) - h(S3) - h(S4), in visiting
+    order: h(i|rest) as (N, 0, N - i, 0), then h(a:b|K) as (aK, bK, abK, K)."""
+    full = (1 << n) - 1
+    rows = [(full, 0, full ^ 1 << i, 0) for i in range(n)]
+    for a, b in itertools.combinations(range(n), 2):
+        for ks in subsets(v for v in range(n) if v not in (a, b)):
+            k = sum(1 << v for v in ks)
+            rows.append((k | 1 << a, k | 1 << b, k | 1 << a | 1 << b, k))
+    return tuple(rows)
+
+
+def _elemental_text(gs, row) -> str:
+    def names(mask):
+        return [v for i, v in enumerate(gs) if mask >> i & 1]
+
+    s1, s2, s3, k = row
+    if not s2:
+        return f"h({names(s1 ^ s3)[0]}|rest) < 0"
+    return f"h({names(s1 ^ k)[0]}:{names(s2 ^ k)[0]}|{','.join(names(k)) or 'empty'}) < 0"
+
+
 def is_polymatroid(h: Profile) -> PolymatroidCheck:
     """Elemental Shannon check: h(i|N-i) >= 0 and h(i:j|K) >= 0.
 
-    The elemental inequalities are equivalent to the full monotonicity +
-    submodularity system, at O(n^2 2^n) sign decisions.
+    They are equivalent to monotonicity + submodularity.  Each is read off the
+    profile's exponent matrix (entry (S, p): den * coefficient of log p in h(S))
+    as integer row sums; an all-zero row is a structural zero, any other row
+    gets a certified sign, and the first negative row in visiting order is reported.
     """
     gs = h.ground_set
-    full = frozenset(gs)
-    for i in gs:
-        if cond_entropy(h, (i,), full - {i}).sign() < 0:
-            return PolymatroidCheck(False, f"h({i}|rest) < 0")
-    for a, b in itertools.combinations(gs, 2):
-        for k in subsets(v for v in gs if v not in (a, b)):
-            if cond_mi(h, (a,), (b,), k).sign() < 0:
-                return PolymatroidCheck(
-                    False, f"h({a}:{b}|{subset_key(gs, k) or 'empty'}) < 0"
-                )
+    bit = {v: 1 << i for i, v in enumerate(gs)}
+    terms = [None] * (1 << len(gs))
+    for ks, val in h._entries.items():
+        terms[sum(bit[v] for v in ks)] = val._terms
+    primes = sorted({p for t in terms for p in t})
+    den = math.lcm(*(c.denominator for t in terms for c in t.values()))
+    rows = _elemental_rows(len(gs))
+    cols = [[c.numerator * (den // c.denominator) for c in (t.get(p, 0) for t in terms)]
+            for p in primes]
+    sums = [[col[a] + col[b] - col[c] - col[d] for a, b, c, d in rows] for col in cols]
+    for masks, row in zip(rows, zip(*sums)):
+        if any(row) and LogValue._raw({p: v for p, v in zip(primes, row) if v}).sign() < 0:
+            return PolymatroidCheck(False, _elemental_text(gs, masks))
     return PolymatroidCheck(True)
 
 

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defent import (
     Distribution,
@@ -24,6 +26,7 @@ from defent import (
     slepian_wolf_partial,
     zero_profile,
 )
+from defent.polymatroid import subsets
 
 Z = LogValue.zero()
 L2 = log_of_rat(2)
@@ -73,6 +76,39 @@ def test_dist_entropy_profile_examples():
     hyp = parse_set("set Hyp(x, y) := x*y = 0")
     m = marginal_distribution(hyp, ["y"], field(5))
     assert dist_entropy_profile(m)["y"] == LogValue({3: 2, 5: Fraction(-5, 9)})
+
+
+@st.composite
+def rational_distributions(draw):
+    """Uniform, repeated-weight or distinct-weight distributions; rational
+    weights give probabilities whose denominators do not divide one another."""
+    n = draw(st.integers(1, 3))
+    outcomes = list(itertools.product(range(3), repeat=n))
+    support = draw(st.lists(st.sampled_from(outcomes), min_size=1, max_size=12, unique=True))
+    size = len(support)
+    repeated = st.sampled_from((1, 2, Fraction(1, 2), Fraction(2, 3)))
+    distinct = st.fractions(Fraction(1, 6), 3, max_denominator=6)
+    weights = draw(st.one_of(
+        st.just([1] * size),
+        st.lists(repeated, min_size=size, max_size=size),
+        st.lists(distinct, min_size=size, max_size=size, unique=True),
+    ))
+    tot = sum(weights)
+    return Distribution(tuple("uvw"[:n]), {o: Fraction(w, tot) for o, w in zip(support, weights)})
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(rational_distributions())
+def test_dist_entropy_profile_matches_per_outcome_sum(p):
+    h = dist_entropy_profile(p)
+    for ks in subsets(p.ground_set):
+        idx = [i for i, v in enumerate(p.ground_set) if v in ks]
+        marg = {}
+        for o, pr in p.probs.items():
+            key = tuple(o[i] for i in idx)
+            marg[key] = marg.get(key, Fraction(0)) + pr
+        assert p.marginal(ks) == marg
+        assert h[ks] == sum((log_of_rat(1 / pr).scale(pr) for pr in marg.values()), Z)
 
 
 def test_copy_product_extremes():

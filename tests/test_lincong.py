@@ -1,8 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defent import (
     BudgetError,
@@ -22,6 +25,7 @@ from defent import (
     torus_profile,
     zero_profile,
 )
+from defent.polymatroid import subsets
 
 PAPER_MATRIX = IntMatrix.from_rows(
     [(1, 0, 2, 3, 0), (2, 9, 7, 7, 7), (9, 3, 3, 3, 0), (2, 2, 7, 7, 7)]
@@ -80,6 +84,33 @@ def test_image_size_oracle_sample():
         )
         for m in (2, 3, 5, 12, 30):
             assert image_size(mat, m) == image_size_bruteforce(mat, m), (mat, m)
+
+
+@st.composite
+def matrices_with_repeats(draw):
+    """1-4 rows of width 1-3, some of them zero rows or copies of another row."""
+    d = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(-10, 10), min_size=d, max_size=d),
+                         min_size=1, max_size=4))
+    for i in range(len(rows)):
+        kind = draw(st.sampled_from(("keep", "keep", "zero", "copy")))
+        if kind == "zero":
+            rows[i] = [0] * d
+        elif kind == "copy":
+            rows[i] = list(rows[draw(st.integers(0, len(rows) - 1))])
+    return IntMatrix.from_rows(rows)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(matrices_with_repeats())
+def test_profile_lincong_matches_bruteforce(mat):
+    for m in (2, 6, 12, 30):
+        h = profile_lincong(mat, m)
+        for ks in subsets(mat.labels):
+            size = image_size_bruteforce(mat.submatrix(ks), m) if ks else 1
+            assert h[ks] == log_of_rat(size), (mat, m, ks)
+    diagonals = (snf(mat.submatrix(ks)).diagonal for ks in subsets(mat.labels) if ks)
+    assert dirichlet_modulus(mat) == math.lcm(*(s for diag in diagonals for s in diag if s))
 
 
 def test_profile_lincong_paper_matrix():

@@ -3,6 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_logval import LOG2_3_CONVERGENTS
 
 from defent import (
     DomainError,
@@ -25,7 +28,7 @@ from defent import (
     scan_threshold,
     zero_profile,
 )
-from defent.polymatroid import H, LinFunctional, subsets
+from defent.polymatroid import H, LinFunctional, subset_key, subsets
 
 Z = LogValue.zero()
 L2 = log_of_rat(2)
@@ -127,6 +130,70 @@ def test_is_polymatroid_examples():
     gs = ("z", "a", "m", "b")
     top = {ks: L2.scale(len(ks)) for ks in subsets(gs)} | {frozenset(gs): L2.scale(5)}
     assert is_polymatroid(Profile(gs, top)).violation == "h(z:a|m,b) < 0"
+    # K is visited by size first: h(a:b|e) fails before h(a:b|c,d)
+    gs = tuple("abcde")
+    two = {ks: L2.scale(len(ks) + (ks in ({"a", "b", "e"}, {"a", "b", "c", "d"})))
+           for ks in subsets(gs)}
+    assert is_polymatroid(Profile(gs, two)).violation == "h(a:b|e) < 0"
+
+
+def scalar_polymatroid(h):
+    """Oracle: the elemental inequalities one by one through cond_entropy and cond_mi."""
+    gs = h.ground_set
+    full = frozenset(gs)
+    for i in gs:
+        if cond_entropy(h, (i,), full - {i}).sign() < 0:
+            return False, f"h({i}|rest) < 0"
+    for a, b in itertools.combinations(gs, 2):
+        for k in subsets(v for v in gs if v not in (a, b)):
+            if cond_mi(h, (a,), (b,), k).sign() < 0:
+                return False, f"h({a}:{b}|{subset_key(gs, k) or 'empty'}) < 0"
+    return True, None
+
+
+PRIMES = (2, 3, 5, 7, 11, 13)
+coefficients = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=6))
+# |n3 log 3 - n2 log 2| ~ 1e-10: a 64-bit enclosure of such a row straddles 0
+NEAR_ZERO = [LogValue({3: n3, 2: -n2}) for n3, n2 in LOG2_3_CONVERGENTS]
+
+
+@st.composite
+def perturbed_coverage_profiles(draw):
+    """h(S) = sum of the positive weights of the blocks S meets (a polymatroid
+    with many zero rows), then a few entries shifted by random or near-zero values."""
+    n = draw(st.integers(2, 5))
+    gs = tuple(draw(st.permutations("vwxyz"))[:n])
+    weight = st.dictionaries(st.sampled_from(PRIMES), st.fractions(0, 4, max_denominator=6),
+                             min_size=1, max_size=2).map(LogValue)
+    blocks = draw(st.lists(st.tuples(st.sets(st.sampled_from(gs), min_size=1), weight),
+                           max_size=4))
+    entries = {ks: sum((w for block, w in blocks if ks & block), Z) for ks in subsets(gs)}
+    shift = st.one_of(st.dictionaries(st.sampled_from(PRIMES), coefficients, max_size=3)
+                      .map(LogValue), st.sampled_from(NEAR_ZERO + [-v for v in NEAR_ZERO]))
+    nonempty = [ks for ks in entries if ks]
+    for ks, delta in draw(st.lists(st.tuples(st.sampled_from(nonempty), shift), max_size=3)):
+        entries[ks] = entries[ks] + delta
+    return Profile(gs, entries)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(perturbed_coverage_profiles())
+def test_is_polymatroid_matches_scalar_oracle(h):
+    chk = is_polymatroid(h)
+    assert (chk.ok, chk.violation) == scalar_polymatroid(h)
+
+
+@pytest.mark.parametrize("n3, n2", LOG2_3_CONVERGENTS)
+def test_is_polymatroid_row_past_64_bits(n3, n2):
+    # I(x:y) = n3 log 3 - n2 log 2, whose 64-bit enclosure straddles 0
+    eps = LogValue({3: n3, 2: -n2})
+    h = make_profile("xy", {"": Z, "x": LogValue({3: n3}), "y": LogValue({2: n2}),
+                            "xy": LogValue({2: 2 * n2})})
+    lo, hi, _ = next(eps._enclosures())
+    assert lo < 0 < hi
+    chk = is_polymatroid(h)
+    assert (chk.ok, chk.violation) == scalar_polymatroid(h)
+    assert chk.ok == (eps.sign() > 0)
 
 
 def test_factor_examples(two_bits):
