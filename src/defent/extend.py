@@ -44,14 +44,14 @@ _ZERO = LogValue.zero()
 class Distribution:
     """A jointly distributed tuple with exact positive rational probabilities.
 
-    Only the support is stored; probabilities must sum to exactly 1.
+    Only the support is stored; probabilities must sum to exactly 1, and are
+    also kept as integer numerators over their common denominator.
     """
 
     def __init__(self, ground_set, probs, alphabets=None):
         self.ground_set = tuple(ground_set)
         n = len(self.ground_set)
         canon = {}
-        total = Fraction(0)
         for outcome, pr in probs.items():
             outcome = tuple(outcome)
             if len(outcome) != n:
@@ -62,7 +62,9 @@ class Distribution:
             if outcome in canon:
                 raise DomainError(f"duplicate outcome {outcome}")
             canon[outcome] = pr
-            total += pr
+        self._den = den = lcm(*(pr.denominator for pr in canon.values()))
+        self._numerators = {o: pr.numerator * (den // pr.denominator) for o, pr in canon.items()}
+        total = Fraction(sum(self._numerators.values()), den)
         if total != 1:
             raise DomainError(f"probabilities sum to {total}, not 1")
         self.probs = canon
@@ -87,16 +89,19 @@ class Distribution:
     def __repr__(self):
         return f"Distribution(n={len(self.ground_set)}, support={len(self.probs)})"
 
-    def marginal(self, I) -> dict:
-        """Map from projected outcomes on I (in ground-set order) to probability."""
+    def _marginal_numerators(self, I) -> dict:
+        """Projected outcomes on I (in ground-set order) -> probability numerator over _den."""
         want = set(I)
         idx = [i for i, v in enumerate(self.ground_set) if v in want]
-        den = lcm(*(pr.denominator for pr in self.probs.values()))
         out: dict[tuple, int] = {}
-        for o, pr in self.probs.items():
-            key = tuple(o[i] for i in idx)
-            out[key] = out.get(key, 0) + pr.numerator * (den // pr.denominator)
-        return {key: Fraction(n, den) for key, n in out.items()}
+        for o, n in self._numerators.items():
+            key = tuple([o[i] for i in idx])
+            out[key] = out.get(key, 0) + n
+        return out
+
+    def marginal(self, I) -> dict:
+        """Map from projected outcomes on I (in ground-set order) to probability."""
+        return {key: Fraction(n, self._den) for key, n in self._marginal_numerators(I).items()}
 
     def to_json(self) -> dict:
         return {
@@ -130,10 +135,12 @@ class Distribution:
 
 
 def dist_entropy_profile(p: Distribution) -> Profile:
-    """Exact entropy profile of a rational distribution, summed per distinct probability."""
+    """Exact entropy profile of a rational distribution: per marginal, the sum over
+    distinct numerators n, taken by k outcomes, of (k n / den) log(den / n)."""
+    den = p._den
     entries = {
-        ks: sum((log_of_rat(1 / pr).scale(k * pr)
-                 for pr, k in Counter(p.marginal(ks).values()).items()), _ZERO)
+        ks: sum((log_of_rat(Fraction(den, n)).scale(Fraction(k * n, den))
+                 for n, k in Counter(p._marginal_numerators(ks).values()).items()), _ZERO)
         for ks in subsets(p.ground_set)
     }
     return Profile(p.ground_set, entries)

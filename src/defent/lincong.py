@@ -146,25 +146,24 @@ def _matmul(A, B):
 
 
 def _det(M):
-    """Exact integer determinant (fraction-free Gaussian elimination)."""
-    n = len(M)
-    A = [[Fraction(x) for x in row] for row in M]
-    det = Fraction(1)
+    """Exact integer determinant by Bareiss elimination: each 2x2 minor divided by
+    the previous pivot is exact (it is a minor of M), so no Fraction is built."""
+    A = [list(row) for row in M]
+    n = len(A)
+    sign, prev = 1, 1
     for c in range(n):
         piv = next((r for r in range(c, n) if A[r][c]), None)
         if piv is None:
             return 0
         if piv != c:
             A[c], A[piv] = A[piv], A[c]
-            det = -det
-        det *= A[c][c]
-        inv = 1 / A[c][c]
+            sign = -sign
+        top = A[c]
         for r in range(c + 1, n):
-            if A[r][c]:
-                f = A[r][c] * inv
-                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
-    assert det.denominator == 1
-    return int(det)
+            a = A[r][c]
+            A[r] = [(top[c] * x - a * y) // prev for x, y in zip(A[r], top)]
+        prev = top[c]
+    return sign * prev
 
 
 def snf(matrix) -> SnfResult:

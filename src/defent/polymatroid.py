@@ -13,15 +13,16 @@ scan.
 All checks are exact: a functional is zero iff its LogValue is structurally
 zero, and comparisons use certified signs, never floating thresholds.  The
 elemental Shannon check evaluates its inequalities as integer rows over the
-profile's prime-exponent matrix, so an all-zero row needs no sign.
+profile's prime-exponent matrix: an all-zero row needs no sign, and each
+distinct nonzero row is signed once per call.
 
 Subsets are walked (``subsets``), keyed in JSON (``subset_key``,
 ``parse_subset_key``, ``entries_to_json``) and combined into Shannon
 quantities (``cond_entropy``, ``cond_mi``, ``ingleton``) here and nowhere
-else: one walk, one codec, each quantity defined once.  Functionals are
-built by evaluating the same formulas on ``H``, the symbolic profile whose
-entry H[S] is the functional H(S): ``cond_mi(H, I, J, K)`` is the
-functional I(I:J|K), and ``H[S]`` itself is H(S).
+else: one walk, one codec, each quantity defined once, as a signed sum over
+profile entries that builds one result.  Evaluated on ``H``, the symbolic
+profile whose entry H[S] is the functional H(S), the sum is a LinFunctional:
+``cond_mi(H, I, J, K)`` is the functional I(I:J|K), and ``H[S]`` is H(S).
 """
 
 from __future__ import annotations
@@ -151,21 +152,39 @@ def zero_profile(ground_set) -> Profile:
 
 # -- basic functionals -------------------------------------------------------
 
+def _signed_sum(h, terms):
+    """sum of sign * h[S] over the (sign, S) in terms: one LinFunctional on ``H``,
+    one LogValue on a Profile (its entries' prime coefficients added in one dict)."""
+    acc = {}
+    if h is H:
+        for sign, ks in terms:
+            acc[ks] = acc.get(ks, 0) + sign
+        return LinFunctional(acc)
+    entries = h._entries
+    for sign, ks in terms:
+        for p, c in (entries[ks] if ks in entries else h[ks])._terms.items():
+            acc[p] = acc.get(p, 0) + sign * c
+    return LogValue._raw({p: c.numerator if c.denominator == 1 else c
+                          for p, c in acc.items() if c})
+
+
 def cond_entropy(h: Profile, I, K) -> LogValue:
     """h(I|K) = h(I u K) - h(K)."""
     i, k = _as_labelset(I), _as_labelset(K)
-    return h[i | k] - h[k]
+    return _signed_sum(h, ((1, i | k), (-1, k)))
 
 
 def cond_mi(h: Profile, I, J, K=()) -> LogValue:
     """h(I:J|K) = h(I u K) + h(J u K) - h(I u J u K) - h(K)."""
     i, j, k = _as_labelset(I), _as_labelset(J), _as_labelset(K)
-    return h[i | k] + h[j | k] - h[i | j | k] - h[k]
+    return _signed_sum(h, ((1, i | k), (1, j | k), (-1, i | j | k), (-1, k)))
 
 
 def ingleton(h: Profile, A, B, C, D) -> LogValue:
-    """The Ingleton expression h(C:D|A) + h(C:D|B) + h(A:B) - h(C:D)."""
-    return cond_mi(h, C, D, A) + cond_mi(h, C, D, B) + cond_mi(h, A, B) - cond_mi(h, C, D)
+    """The Ingleton expression h(C:D|A) + h(C:D|B) + h(A:B) - h(C:D); h(A), h(B) cancel."""
+    a, b, c, d = (_as_labelset(x) for x in (A, B, C, D))
+    return _signed_sum(h, ((1, a | c), (1, a | d), (-1, a | c | d), (1, b | c), (1, b | d),
+                           (-1, b | c | d), (-1, a | b), (-1, c), (-1, d), (1, c | d)))
 
 
 @dataclass
@@ -206,7 +225,8 @@ def is_polymatroid(h: Profile) -> PolymatroidCheck:
     They are equivalent to monotonicity + submodularity.  Each is read off the
     profile's exponent matrix (entry (S, p): den * coefficient of log p in h(S))
     as integer row sums; an all-zero row is a structural zero, any other row
-    gets a certified sign, and the first negative row in visiting order is reported.
+    gets a certified sign (each distinct row once, from a per-call dict), and
+    the first negative row in visiting order is reported.
     """
     gs = h.ground_set
     bit = {v: 1 << i for i, v in enumerate(gs)}
@@ -219,8 +239,11 @@ def is_polymatroid(h: Profile) -> PolymatroidCheck:
     cols = [[c.numerator * (den // c.denominator) for c in (t.get(p, 0) for t in terms)]
             for p in primes]
     sums = [[col[a] + col[b] - col[c] - col[d] for a, b, c, d in rows] for col in cols]
+    signs = {(0,) * len(primes): 0}
     for masks, row in zip(rows, zip(*sums)):
-        if any(row) and LogValue._raw({p: v for p, v in zip(primes, row) if v}).sign() < 0:
+        if row not in signs:
+            signs[row] = LogValue._raw({p: v for p, v in zip(primes, row) if v}).sign()
+        if signs[row] < 0:
             return PolymatroidCheck(False, _elemental_text(gs, masks))
     return PolymatroidCheck(True)
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from test_enumeration import fuzz_cases
 
 from defent import (
     BudgetError,
@@ -24,6 +26,7 @@ from defent import (
     parse_set,
     tower_census,
 )
+from defent import ringlang as rl
 from defent.census import CensusTable, collect_points
 from defent.enumeration import _chunk_plan
 from defent.polymatroid import Profile
@@ -141,6 +144,20 @@ def test_profile_matches_oracle():
         d = parse_set(text)
         for spec in specs:
             assert entropy_profile(d, spec) == oracle_profile(d, spec), (text, spec)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(fuzz_cases())
+def test_entropy_profile_matches_joint_table(case):
+    dset, spec = case
+    try:
+        got = entropy_profile(dset, spec)
+    except DomainError:
+        assert oracle_count(dset, spec) == 0
+        return
+    want = oracle_profile(dset, spec)
+    for ks in want.subsets():
+        assert got[ks] == want[ks], (rl.set_str(dset), spec, sorted(ks))
 
 
 def test_marginal_distribution_examples(hyp_set):

@@ -111,6 +111,37 @@ def test_dist_entropy_profile_matches_per_outcome_sum(p):
         assert h[ks] == sum((log_of_rat(1 / pr).scale(pr) for pr in marg.values()), Z)
 
 
+@st.composite
+def distributions_and_subsets(draw):
+    """Distributions on 1-4 labels with uniform, repeated or distinct
+    probabilities over coprime denominators, and a label subset in any order."""
+    n = draw(st.integers(1, 4))
+    gs = tuple("uvwx"[:n])
+    outcomes = list(itertools.product(range(3), repeat=n))
+    support = draw(st.lists(st.sampled_from(outcomes), min_size=1, max_size=16, unique=True))
+    weight = st.one_of(st.sampled_from((1, 3, Fraction(1, 5))),
+                       st.fractions(Fraction(1, 7), 5, max_denominator=7))
+    weights = draw(st.one_of(st.just([1] * len(support)),
+                             st.lists(weight, min_size=len(support), max_size=len(support))))
+    tot = sum(weights)
+    p = Distribution(gs, {o: Fraction(w, tot) for o, w in zip(support, weights)})
+    return p, draw(st.lists(st.sampled_from(gs), max_size=n, unique=True))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(distributions_and_subsets())
+def test_marginal_matches_fraction_sum(case):
+    p, I = case
+    keep = [i for i, v in enumerate(p.ground_set) if v in I]
+    want = {}
+    for o, pr in p.probs.items():
+        key = tuple(o[i] for i in keep)
+        want[key] = want.get(key, Fraction(0)) + pr
+    got = p.marginal(I)
+    assert got == want and list(got) == list(want)
+    assert all(isinstance(v, Fraction) for v in got.values()) and sum(got.values()) == 1
+
+
 def test_copy_product_extremes():
     p = bits(2)
     h = dist_entropy_profile(p)

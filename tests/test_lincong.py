@@ -25,6 +25,7 @@ from defent import (
     torus_profile,
     zero_profile,
 )
+from defent.lincong import SnfResult, _det, _verify_snf
 from defent.polymatroid import subsets
 
 PAPER_MATRIX = IntMatrix.from_rows(
@@ -57,6 +58,57 @@ def test_snf_random_postconditions():
         diag = r.diagonal
         nz = [s for s in diag if s]
         assert all(nz[i + 1] % nz[i] == 0 for i in range(len(nz) - 1))
+
+
+def leibniz_det(M):
+    """Oracle: the permutation sum, each term signed by its inversion count."""
+    n = len(M)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        total += (-1) ** inversions * math.prod(M[i][perm[i]] for i in range(n))
+    return total
+
+
+@st.composite
+def square_matrices(draw):
+    """1-6 square integer matrices, some singular, some with a zero leading pivot."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+    M = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    kind = draw(st.sampled_from(("any", "zero pivot", "repeated row", "combined row")))
+    if kind == "zero pivot":
+        M[0][0] = 0
+    elif kind == "repeated row" and n > 1:
+        M[-1] = list(M[0])
+    elif kind == "combined row" and n > 2:
+        M[-1] = [x - 2 * y for x, y in zip(M[0], M[1])]
+    return M
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(square_matrices())
+def test_det_matches_leibniz(M):
+    assert _det(M) == leibniz_det(M)
+
+
+def test_det_row_swaps():
+    assert _det([[0, 1], [1, 0]]) == -1
+    assert _det([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
+    assert _det([[0, 1, 2], [0, 3, 4], [5, 6, 7]]) == 5 * (1 * 4 - 2 * 3)
+
+
+def test_verify_snf_rejects():
+    # S = T A U holds, but det T = 2
+    with pytest.raises(AssertionError, match="unimodular"):
+        _verify_snf(((1,),), SnfResult(((2,),), ((2,),), ((1,),)))
+    eye = ((1, 0), (0, 1))
+    with pytest.raises(AssertionError, match="unimodular"):
+        _verify_snf(eye, SnfResult(((1, 0), (0, -2)), ((1, 0), (0, -2)), eye))
+    # diagonal and unimodular, but 2 does not divide 3
+    with pytest.raises(AssertionError, match="divisibility"):
+        _verify_snf(((2, 0), (0, 3)), SnfResult(((2, 0), (0, 3)), eye, eye))
+    _verify_snf(((2, 0), (0, 3)), snf(((2, 0), (0, 3))))
 
 
 def test_image_size_examples():

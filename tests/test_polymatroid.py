@@ -408,3 +408,69 @@ def test_gmm_check_examples():
 
 def test_entropy_of_builder(two_bits):
     assert eval_functional(H[("1", "2")], two_bits) == two_bits[("1", "2")]
+
+
+# -- the Shannon functionals against their composition from h[...] ---------------
+
+def _labelset(x):
+    return frozenset((x,)) if isinstance(x, str) else frozenset(x)
+
+
+def composed_cond_entropy(h, I, K):
+    i, k = _labelset(I), _labelset(K)
+    return h[i | k] - h[k]
+
+
+def composed_cond_mi(h, I, J, K):
+    i, j, k = _labelset(I), _labelset(J), _labelset(K)
+    return h[i | k] + h[j | k] - h[i | j | k] - h[k]
+
+
+def composed_ingleton(h, A, B, C, D):
+    return (composed_cond_mi(h, C, D, A) + composed_cond_mi(h, C, D, B)
+            + composed_cond_mi(h, A, B, ()) - composed_cond_mi(h, C, D, ()))
+
+
+@st.composite
+def profiles_and_label_args(draw):
+    """A random profile on 2-5 labels (any entries, h(empty) = 0) and five
+    overlapping label arguments, each a str (singletons only), tuple or frozenset."""
+    n = draw(st.integers(2, 5))
+    gs = tuple(draw(st.permutations("vwxyz"))[:n])
+    value = st.dictionaries(st.sampled_from(PRIMES), coefficients, max_size=3).map(LogValue)
+    pool = draw(st.lists(value, min_size=1, max_size=6))
+    picks = iter(draw(st.lists(st.sampled_from(pool), min_size=2**n, max_size=2**n)))
+    entries = {ks: next(picks) if ks else Z for ks in subsets(gs)}
+
+    def arg():
+        labels = draw(st.lists(st.sampled_from(gs), max_size=n, unique=True))
+        forms = [tuple, frozenset] + ([lambda ls: ls[0]] if len(labels) == 1 else [])
+        return draw(st.sampled_from(forms))(labels)
+
+    return Profile(gs, entries), [arg() for _ in range(5)]
+
+
+def _canonical(v):
+    return all(type(c) is int or c.denominator > 1 for c in v._terms.values())
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(profiles_and_label_args())
+def test_functionals_match_composition(case):
+    h, (a, b, c, d, e) = case
+    for f, oracle, args in ((cond_entropy, composed_cond_entropy, (a, b)),
+                            (cond_mi, composed_cond_mi, (a, b, c)),
+                            (ingleton, composed_ingleton, (a, b, c, d)),
+                            (ingleton, composed_ingleton, (e, a, e, b))):
+        got = f(h, *args)
+        assert got == oracle(h, *args) and _canonical(got)
+        assert eval_functional(f(H, *args), h) == got
+        assert f(H, *args) == oracle(H, *args)
+
+
+def test_functionals_unknown_label(two_bits):
+    for call in (lambda: cond_entropy(two_bits, "1", "3"),
+                 lambda: cond_mi(two_bits, ("1",), frozenset("2"), "9"),
+                 lambda: ingleton(two_bits, "1", "2", "1", ("2", "x"))):
+        with pytest.raises(DomainError, match="unknown subset"):
+            call()
