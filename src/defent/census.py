@@ -33,9 +33,9 @@ from . import polymatroid
 from .enumeration import DEFAULT_MAX_EVALS
 from .enumeration import collect_points_vec as collect_points, count_points_vec as count_points
 from .errors import DomainError, EstimationError
-from .extend import Distribution
+from .extend import Distribution, entropy_of_counts
 from .gf import FieldSpec, field
-from .logval import LogValue, log_of_rat
+from .logval import LogValue
 from .polymatroid import Profile
 from .ringlang import DefinableSet
 
@@ -145,14 +145,6 @@ def fiber_histogram(dset: DefinableSet, I, spec: FieldSpec) -> FiberHistogram:
     return _histogram_from_points(points, cols, labels, spec.q)
 
 
-def _entropy_from_buckets(buckets: dict, total: int) -> LogValue:
-    h = log_of_rat(total)
-    for s, n in buckets.items():
-        if s > 1:
-            h = h - log_of_rat(s).scale(Fraction(n * s, total))
-    return h
-
-
 def entropy_profile(dset: DefinableSet, spec: FieldSpec, *, jobs: int = 1,
                     max_evals: int = DEFAULT_MAX_EVALS) -> Profile:
     """Exact entropy profile of the uniform distribution on X(G).
@@ -168,7 +160,7 @@ def entropy_profile(dset: DefinableSet, spec: FieldSpec, *, jobs: int = 1,
     for ks in polymatroid.subsets(dset.free_vars):
         if ks:
             fh = _histogram_from_points(points, *_subset_columns(dset, ks), spec.q)
-            entries[ks] = _entropy_from_buckets(fh.buckets, total)
+            entries[ks] = entropy_of_counts(fh.buckets, total)
     return Profile(dset.free_vars, entries)
 
 

@@ -34,7 +34,6 @@ order, so results are identical for any worker count.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -444,6 +443,7 @@ def _run_chunks(dset, spec, collect, jobs, max_evals):
     k, ranges = _chunk_plan(dset, spec)
     tasks = [(dset, spec, k, lo, hi, collect) for lo, hi in ranges]
     if jobs > 1 and len(ranges) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_eval_chunk, *zip(*tasks), chunksize=1))
     else:

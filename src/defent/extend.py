@@ -134,15 +134,19 @@ class Distribution:
         return cls(gs, probs, alphabets)
 
 
+def entropy_of_counts(counts: dict, total: int) -> LogValue:
+    """log total - sum (k n / total) log n: total equal points in k blocks of each size n."""
+    h = log_of_rat(total)
+    for n, k in counts.items():
+        if n > 1:
+            h = h - log_of_rat(n).scale(Fraction(k * n, total))
+    return h
+
+
 def dist_entropy_profile(p: Distribution) -> Profile:
-    """Exact entropy profile of a rational distribution: per marginal, the sum over
-    distinct numerators n, taken by k outcomes, of (k n / den) log(den / n)."""
-    den = p._den
-    entries = {
-        ks: sum((log_of_rat(Fraction(den, n)).scale(Fraction(k * n, den))
-                 for n, k in Counter(p._marginal_numerators(ks).values()).items()), _ZERO)
-        for ks in subsets(p.ground_set)
-    }
+    """Exact entropy profile: each marginal cuts den equal points into blocks of its numerators."""
+    entries = {ks: entropy_of_counts(Counter(p._marginal_numerators(ks).values()), p._den)
+               for ks in subsets(p.ground_set)}
     return Profile(p.ground_set, entries)
 
 

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import defent
 from defent.cli import main
 from conftest import HYP_TEXT, KR_TEXT, SQRT_TEXT
 
@@ -219,3 +223,13 @@ def test_output_deterministic(capsys, hyp_file):
     _, out3 = run(capsys, ["count", hyp_file, "--p", "5", "--jobs", "2"])
     _, out4 = run(capsys, ["count", hyp_file, "--p", "5", "--jobs", "1"])
     assert out3 == out4
+
+
+def test_import_loads_neither_mpmath_nor_the_process_pool():
+    # mpmath is a test-only oracle; the pool is imported only when --jobs > 1 runs
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(defent.__file__)))
+    code = ("import sys, defent.cli; print(sorted({'mpmath', 'concurrent.futures.process'}"
+            " & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defent import Approx, DomainError, LogValue, log_of_rat
-from defent.logval import _log_bounds, factorize, is_prime
+from defent.logval import FACTOR_CAP, _log_bounds, factorize, is_prime
 
 
 def test_log_of_rat_examples():
@@ -237,12 +237,24 @@ def test_floats_climb_past_64_bits(n3, n2, base):
     assert v.normalize_base(base).value == rounded(v.terms, base)
 
 
+def random_primes(count, seed):
+    """Seeded primes of 2 to 40 bits below FACTOR_CAP, sizes drawn log-uniformly."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        n = rng.randrange(2, min(2 ** rng.randint(2, 40), FACTOR_CAP))
+        while not is_prime(n):
+            n += 1
+        out.append(n)
+    return out
+
+
 def test_log_bounds_enclose():
-    with mpmath.workprec(400):
-        for p in SMALL_PRIMES + (1009, 999983):
-            for prec in (64, 128, 256):
-                lo, hi = _log_bounds(p, prec)
-                assert lo <= mpmath.ldexp(mpmath.log(p), prec) <= hi and hi - lo <= 2
+    cases = [(p, 64 << i) for p in SMALL_PRIMES + (1009, 999983) + tuple(random_primes(40, seed=3))
+             for i in range(7)] + [(2, 1 << 16), (3, 1 << 16)]
+    for p, prec in cases:
+        lo, hi = _log_bounds(p, prec)
+        with mpmath.workprec(prec + 64):
+            assert lo <= mpmath.ldexp(mpmath.log(p), prec) <= hi and hi - lo <= 2
 
 
 # -- canonical int-or-Fraction coefficients -----------------------------------
