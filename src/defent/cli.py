@@ -308,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="evaluate a functional on a profile JSON")
     p.add_argument("profile")
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--expr", help="functional DSL, e.g. 'I(A:B|C)'")
+    g.add_argument("--expr", help="functional DSL, e.g. 'I(A:B|C)' "
+                   "(grammar: defent.polymatroid.parse_functional)")
     g.add_argument("--gmm", action="store_true")
     g.add_argument("--dfz", type=int, metavar="S")
     p.add_argument("--dfz-corrected", action="store_true",

@@ -240,10 +240,14 @@ class PartialProfile:
         return cls(ground_set, entries, constraints)
 
 
-def _fresh_label(taken, z_label):
-    if z_label in taken:
+def _one_point(h: Profile, L, z_label):
+    """(L, I = N - L, N + z) for a one-point extension of h by z along L <= N."""
+    L = tuple(L)
+    if not set(L) <= set(h.ground_set):
+        raise DomainError("L must be a subset of the ground set")
+    if z_label in h.ground_set:
         raise DomainError(f"extension label {z_label!r} already in the ground set")
-    return z_label
+    return L, frozenset(h.ground_set) - set(L), h.ground_set + (z_label,)
 
 
 def slepian_wolf_partial(h: Profile, L, alpha: LogValue, *, z_label: str = "z") -> PartialProfile:
@@ -259,21 +263,16 @@ def slepian_wolf_partial(h: Profile, L, alpha: LogValue, *, z_label: str = "z") 
         raise DomainError("h must be a polymatroid")
     if alpha.sign() < 0:
         raise DomainError("alpha must be >= 0")
-    L = tuple(L)
-    if not set(L) <= set(h.ground_set):
-        raise DomainError("L must be a subset of the ground set")
-    z = _fresh_label(set(h.ground_set), z_label)
-    I = frozenset(h.ground_set) - set(L)
-    ground = h.ground_set + (z,)
+    L, I, ground = _one_point(h, L, z_label)
     entries = h.entries()
     for k_set in subsets(sorted(L)):
         a = alpha + h[k_set]
         b = h[I | k_set]
-        entries[k_set | {z}] = a if (a - b).sign() <= 0 else b
+        entries[k_set | {z_label}] = a if (a - b).sign() <= 0 else b
     for ks in h.subsets():
         if ks >= I:
-            entries[ks | {z}] = h[ks]
-    constraints = [cond_entropy(H, (z,), I)]
+            entries[ks | {z_label}] = h[ks]
+    constraints = [cond_entropy(H, (z_label,), I)]
     return PartialProfile(ground, entries, constraints)
 
 
@@ -287,16 +286,11 @@ def ak_partial(h: Profile, L, *, z_label: str = "z") -> PartialProfile:
     """
     if not is_polymatroid(h):
         raise DomainError("h must be a polymatroid")
-    L = tuple(L)
-    if not set(L) <= set(h.ground_set):
-        raise DomainError("L must be a subset of the ground set")
-    z = _fresh_label(set(h.ground_set), z_label)
-    I = frozenset(h.ground_set) - set(L)
-    ground = h.ground_set + (z,)
+    L, I, ground = _one_point(h, L, z_label)
     entries = h.entries()
-    constraints = [cond_entropy(H, (z,), L)]
+    constraints = [cond_entropy(H, (z_label,), L)]
     for k_set in subsets(sorted(L)):
-        constraints.append(cond_entropy(H, k_set, (z,)) - cond_entropy(H, k_set, I))
+        constraints.append(cond_entropy(H, k_set, (z_label,)) - cond_entropy(H, k_set, I))
     return PartialProfile(ground, entries, constraints)
 
 
@@ -308,15 +302,13 @@ def ak_canonical_witness(h: Profile, L, *, z_label: str = "z") -> Profile:
     Feasibility (not uniqueness): every recorded constraint holds for any
     polymatroid h by submodularity at the pair (L, K u I).
     """
-    L = tuple(L)
-    z = _fresh_label(set(h.ground_set), z_label)
-    I = frozenset(h.ground_set) - set(L)
+    L, I, ground = _one_point(h, L, z_label)
     c = cond_mi(h, L, I)
     entries = h.entries()
     for ks in h.subsets():
         lifted = c + h[(ks & frozenset(L)) | I] - h[I]
-        entries[ks | {z}] = lifted if (lifted - h[ks]).sign() >= 0 else h[ks]
-    return Profile(h.ground_set + (z,), entries)
+        entries[ks | {z_label}] = lifted if (lifted - h[ks]).sign() >= 0 else h[ks]
+    return Profile(ground, entries)
 
 
 def copy_partial(h: Profile, L) -> PartialProfile:

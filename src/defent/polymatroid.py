@@ -6,9 +6,9 @@ profiles and distribution profiles all live here.  On top of profiles the
 module provides the classical functionals (conditional entropy, conditional
 mutual information, the Ingleton expression), the elemental Shannon check,
 factoring along a partition of the ground set, modular convolution, a small
-text DSL for linear functionals, and the closed-form family attached to the
-Kaced-Romashchenko configuration together with its essential-conditionality
-scan.
+text DSL for linear functionals (its grammar is in ``parse_functional``), and
+the closed-form family attached to the Kaced-Romashchenko configuration
+together with its essential-conditionality scan.
 
 All checks are exact: a functional is zero iff its LogValue is structurally
 zero, and comparisons use certified signs, never floating thresholds.  The
@@ -153,17 +153,17 @@ def zero_profile(ground_set) -> Profile:
 # -- basic functionals -------------------------------------------------------
 
 def _signed_sum(h, terms):
-    """sum of sign * h[S] over the (sign, S) in terms: one LinFunctional on ``H``,
-    one LogValue on a Profile (its entries' prime coefficients added in one dict)."""
+    """sum of w * h[S] over the (w, S) in terms, w an int or a Fraction: one LinFunctional
+    on ``H``, one LogValue on a Profile (its entries' prime coefficients added in one dict)."""
     acc = {}
     if h is H:
-        for sign, ks in terms:
-            acc[ks] = acc.get(ks, 0) + sign
+        for w, ks in terms:
+            acc[ks] = acc.get(ks, 0) + w
         return LinFunctional(acc)
     entries = h._entries
-    for sign, ks in terms:
+    for w, ks in terms:
         for p, c in (entries[ks] if ks in entries else h[ks])._terms.items():
-            acc[p] = acc.get(p, 0) + sign * c
+            acc[p] = acc.get(p, 0) + w * c
     return LogValue._raw({p: c.numerator if c.denominator == 1 else c
                           for p, c in acc.items() if c})
 
@@ -341,114 +341,62 @@ class _SymbolicProfile:
 H = _SymbolicProfile()
 
 
-_FUNC_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)|(?P<op>[()+\-:|,]))"
-)
+_TERM = re.compile(r"\s*([+-]?)\s*(\d+(?:/\d+)?)?\s*([A-Za-z_][A-Za-z0-9_']*)\s*\(([^()]*)\)\s*")
+_LABEL = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|[0-9]+")
 
 
 def parse_functional(text: str) -> LinFunctional:
-    """Parse the functional DSL: rational-scaled sums of H, D, I, ING terms.
+    """Parse the functional DSL: rational-scaled sums of H, D, I and ING terms.
 
-    Grammar: [sign] [rational] PRIM ( ("+"|"-") [rational] PRIM )* where
-    PRIM is H(S), D(I|K), I(I:J[|K]) or ING(A:B|C:D) and S, I, J, K are
-    comma-separated label lists.
+    Grammar, with whitespace allowed around every token:
+
+        functional := "0" | term (("+" | "-") term)*
+        term       := ["+" | "-"] [n | n/d] PRIM
+        PRIM       := H(S) | D(I|K) | I(I:J) | I(I:J|K) | ING(A:B|C:D)
+
+    n and d are decimal integers, d nonzero.  Each of S, I, J, K, A, B, C, D is
+    a comma-separated list of labels, where a label matches
+    ``[A-Za-z_][A-Za-z0-9_']*`` or ``[0-9]+``; every list may be empty except
+    S.  ``"0"`` is the zero functional, which ``LinFunctional.render`` prints.
+    Any other text raises DomainError.
     """
-    toks = []
-    pos = 0
-    while pos < len(text):
-        m = _FUNC_TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise DomainError(f"bad functional syntax near {text[pos:pos+10]!r}")
-            break
-        toks.append(m.group().strip())
-        pos = m.end()
-    toks.append("")
-    i = 0
-
-    def peek():
-        return toks[i]
-
-    def take():
-        nonlocal i
-        t = toks[i]
-        i += 1
-        return t
-
-    def labels(stop):
-        out = []
-        while peek() not in stop:
-            name = take()
-            if not re.fullmatch(r"[A-Za-z0-9_']+", name):
-                raise DomainError(f"bad label {name!r} in functional")
-            out.append(name)
-            if peek() == ",":
-                take()
-        return tuple(out)
-
-    def primitive():
-        head = take()
-        if take() != "(":
-            raise DomainError(f"expected '(' after {head}")
-        if head == "H":
-            s = labels({")"})
-            take()
-            if not s:
-                raise DomainError("H() needs at least one label")
-            return H[s]
-        if head == "D":
-            I = labels({"|"})
-            take()
-            K = labels({")"})
-            take()
-            return cond_entropy(H, I, K)
-        if head == "I":
-            I = labels({":"})
-            take()
-            J = labels({"|", ")"})
-            if take() == ")":
-                return cond_mi(H, I, J)
-            K = labels({")"})
-            take()
-            return cond_mi(H, I, J, K)
-        if head == "ING":
-            A = labels({":"})
-            take()
-            B = labels({"|"})
-            take()
-            C = labels({":"})
-            take()
-            D = labels({")"})
-            take()
-            return ingleton(H, A, B, C, D)
-        raise DomainError(f"unknown functional primitive {head!r}")
-
-    if toks[:2] == ["0", ""]:
-        return LinFunctional()  # the zero functional renders and parses as "0"
-    total = LinFunctional()
-    first = True
-    while peek():
-        sign = Fraction(1)
-        if peek() in "+-":
-            sign = Fraction(-1) if take() == "-" else Fraction(1)
-        elif not first:
-            raise DomainError(f"expected '+' or '-', found {peek()!r}")
-        coef = Fraction(1)
-        if re.fullmatch(r"\d+(?:/\d+)?", peek() or " "):
-            coef = Fraction(take())
-        total = total + primitive().scale(sign * coef)
-        first = False
-    if first:
+    if text.strip() == "0":
+        return LinFunctional()
+    if not text.strip():
         raise DomainError("empty functional")
+    shapes = {("H", ""): lambda h, s: h[s], ("D", "|"): cond_entropy, ("I", ":"): cond_mi,
+              ("I", ":|"): cond_mi, ("ING", ":|:"): ingleton}
+    total, pos = LinFunctional(), 0
+    while pos < len(text):
+        m = _TERM.match(text, pos)
+        if not m or (pos and not m[1]):
+            raise DomainError(f"bad functional syntax near {text[pos:pos + 10]!r}")
+        sign, coef, name, body = m.groups()
+        if name not in ("H", "D", "I", "ING"):
+            raise DomainError(f"unknown functional primitive {name!r}")
+        build = shapes.get((name, "".join(ch for ch in body if ch in ":|")))
+        lists = [tuple(v.strip() for v in part.split(",")) if part.strip() else ()
+                 for part in re.split("[:|]", body)]
+        if build is None or not all(_LABEL.fullmatch(v) for vs in lists for v in vs):
+            raise DomainError(f"bad arguments {name}({body}) in functional")
+        if name == "H" and not lists[0]:
+            raise DomainError("H() needs at least one label")
+        try:
+            c = Fraction(coef or 1)
+        except ZeroDivisionError:
+            raise DomainError(f"zero denominator in coefficient {coef!r}") from None
+        total = total + build(H, *lists).scale(-c if sign == "-" else c)
+        pos = m.end()
     return total
 
 
 def eval_functional(f: LinFunctional, h: Profile) -> LogValue:
+    """The value of f on h: sum of c * h[S] over f's coefficients, one LogValue."""
     full = frozenset(h.ground_set)
     for ks in f.coeffs:
         if not ks <= full:
             raise DomainError(f"functional uses labels {sorted(ks - full)} outside the profile")
-    return sum((h[ks].scale(c) for ks, c in f.coeffs.items()), _ZERO)
+    return _signed_sum(h, ((c, ks) for ks, c in f.coeffs.items()))
 
 
 # -- the Kaced-Romashchenko closed-form family -----------------------------------

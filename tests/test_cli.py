@@ -216,6 +216,16 @@ def test_exit_codes(capsys, tmp_path, hyp_file, sqrt_file):
         assert code == 3, argv
 
 
+def test_malformed_functionals_exit_3(capsys, tmp_path):
+    # the profile has every label these texts name, so only the parser can reject them
+    prof = tmp_path / "prof.json"
+    prof.write_text(json.dumps(defent.zero_profile(("A", "B", "1", "x")).to_json()))
+    for expr in ("H(A)-", "1/0 H(A)", "H(A,)", "H(A B)", "H(1x)"):
+        code = main(["check", str(prof), "--expr", expr])
+        err = capsys.readouterr().err
+        assert code == 3 and err.startswith("defent: ") and "Traceback" not in err, (expr, err)
+
+
 def test_output_deterministic(capsys, hyp_file):
     _, out1 = run(capsys, ["profile", hyp_file, "--p", "5"])
     _, out2 = run(capsys, ["profile", hyp_file, "--p", "5"])

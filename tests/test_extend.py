@@ -314,3 +314,14 @@ def test_fresh_label_collision():
     h = dist_entropy_profile(bits(2))
     with pytest.raises(DomainError, match="already"):
         slepian_wolf_partial(h, ("x",), Z, z_label="y")
+
+
+def test_one_point_extensions_check_L_and_z():
+    h = dist_entropy_profile(bits(2))
+    for extend_by_z in (lambda L, **kw: slepian_wolf_partial(h, L, Z, **kw),
+                        lambda L, **kw: ak_partial(h, L, **kw),
+                        lambda L, **kw: ak_canonical_witness(h, L, **kw)):
+        with pytest.raises(DomainError, match="subset of the ground set"):
+            extend_by_z(("x", "q"))
+        with pytest.raises(DomainError, match="already"):
+            extend_by_z(("x",), z_label="y")

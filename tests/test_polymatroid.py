@@ -315,6 +315,64 @@ def test_functional_render_round_trip():
     assert LinFunctional().render() == "0"
 
 
+# -- the functional DSL against its grammar ---------------------------------------
+
+DSL_ALPHABET = "HDIGN()+-:|,/ 0123456789ABxy_'\t"
+_ws = st.sampled_from(["", " ", "\t", "\n", "  "])
+_dsl_label = st.sampled_from(["A", "B", "x", "y'", "_z", "a1", "ING", "0", "7", "12", "007"])
+_primitives = [("H", "", lambda s: H[s]),
+               ("D", "|", lambda i, k: cond_entropy(H, i, k)),
+               ("I", ":", lambda i, j: cond_mi(H, i, j)),
+               ("I", ":|", lambda i, j, k: cond_mi(H, i, j, k)),
+               ("ING", ":|:", lambda a, b, c, d: ingleton(H, a, b, c, d))]
+
+
+@st.composite
+def dsl_functionals(draw):
+    """(text, functional): 1-4 terms, each a sign, an optional coefficient n or n/d
+    and a primitive over name or integer labels, with whitespace wherever allowed."""
+    text, want = "", LinFunctional()
+    for first in [True] + [False] * draw(st.integers(0, 3)):
+        sign = draw(st.sampled_from(["+", "-"] + ([""] if first else [])))
+        num, den = draw(st.integers(0, 12)), draw(st.integers(1, 12))
+        coef, c = draw(st.sampled_from([("", 1), (str(num), num),
+                                        (f"{num}/{den}", Fraction(num, den))]))
+        name, seps, build = draw(st.sampled_from(_primitives))
+        lists = [draw(st.lists(_dsl_label, min_size=name == "H", max_size=3))
+                 for _ in range(len(seps) + 1)]
+        parts = [",".join(draw(_ws) + v + draw(_ws) for v in vs) or draw(_ws) for vs in lists]
+        body = parts[0] + "".join(sep + part for sep, part in zip(seps, parts[1:]))
+        text += "".join((draw(_ws), sign, draw(_ws), coef, draw(_ws), name, draw(_ws),
+                         "(", body, ")", draw(_ws)))
+        want = want + build(*map(tuple, lists)).scale(-c if sign == "-" else c)
+    return text, want
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(dsl_functionals())
+def test_parse_functional_matches_grammar(case):
+    text, want = case
+    assert parse_functional(text) == want
+
+
+@st.composite
+def dsl_mutants(draw):
+    """A grammatical functional with one span replaced by text over the DSL's alphabet."""
+    text, _ = draw(dsl_functionals())
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, len(text)))
+    return text[:i] + draw(st.text(DSL_ALPHABET, max_size=6)) + text[j:]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(dsl_mutants() | st.text(DSL_ALPHABET, max_size=30))
+def test_parse_functional_raises_only_domain_error(text):
+    try:
+        parse_functional(text)
+    except DomainError:
+        pass
+
+
 def test_eval_functional_examples(two_bits):
     assert eval_functional(LinFunctional(), two_bits) == Z
     assert eval_functional(parse_functional("I(1:2)"), two_bits) == Z
