@@ -19,6 +19,12 @@ these bucket counts:
     h(I) = log|X| - (1/|X|) * sum_s N_s * s * log s,
 
 an exact LogValue because all counts are integers.
+
+Fiber sizes come from flat keys: a subset's columns read as base-q
+digits.  When the key space q^|I| is at most 4|X|, ``bincount`` of the
+keys gives the fiber sizes directly; sparser key spaces are sorted and
+measured in runs.  ``entropy_profile`` walks the subsets depth first, so
+each subset's keys are its parent's keys times q plus one more column.
 """
 
 from __future__ import annotations
@@ -120,22 +126,38 @@ def _subset_columns(dset, I):
     return cols, tuple(dset.free_vars[j] for j in cols)
 
 
-def _histogram_from_points(points, cols, subset_labels, q):
+def _fiber_sizes(keys, space):
+    """(fiber size -> number of keys, number of distinct keys) of keys in [0, space).
+
+    Dense key spaces count every key with ``bincount``; sparse ones sort
+    the keys and measure the runs.
+    """
+    if space <= 4 * keys.shape[0]:
+        sizes = np.bincount(keys)
+    else:
+        keys = np.sort(keys)
+        cuts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+        sizes = np.diff(np.concatenate(([0], cuts, [keys.shape[0]])))
+    mult = np.bincount(sizes)
+    nonzero = np.flatnonzero(mult[1:]) + 1
+    return dict(zip(nonzero.tolist(), mult[nonzero].tolist())), int(mult[1:].sum())
+
+
+def _histogram_from_points(points, cols, subset_labels, q, keys=None):
+    """Fiber histogram of the columns cols; ``keys`` are their flat keys if known."""
     total = int(points.shape[1])
     if not cols:
         buckets = {total: 1} if total else {}
         return FiberHistogram(tuple(subset_labels), total, buckets, 1 if not total else 0)
     if q ** len(cols) >= 2**62:
         raise DomainError("projection space too large to key")
-    keys = points[cols[0]].astype(np.int64, copy=True)
-    for c in cols[1:]:
-        keys *= q
-        keys += points[c]
-    _, counts = np.unique(keys, return_counts=True)
-    sizes, mult = np.unique(counts, return_counts=True)
-    buckets = {int(s): int(n) for s, n in zip(sizes, mult)}
-    outside = q ** len(cols) - int(counts.shape[0])
-    return FiberHistogram(tuple(subset_labels), total, buckets, outside)
+    if keys is None:
+        keys = points[cols[0]].astype(np.int64, copy=True)
+        for c in cols[1:]:
+            keys *= q
+            keys += points[c]
+    buckets, nonempty = _fiber_sizes(keys, q ** len(cols))
+    return FiberHistogram(tuple(subset_labels), total, buckets, q ** len(cols) - nonempty)
 
 
 def fiber_histogram(dset: DefinableSet, I, spec: FieldSpec) -> FiberHistogram:
@@ -149,19 +171,31 @@ def entropy_profile(dset: DefinableSet, spec: FieldSpec, *, jobs: int = 1,
                     max_evals: int = DEFAULT_MAX_EVALS) -> Profile:
     """Exact entropy profile of the uniform distribution on X(G).
 
-    One enumeration pass collects the points; each of the 2^n marginals is
-    then a grouping of the point list by its projection.
+    One enumeration pass collects the points.  The 2^n - 1 marginals are
+    walked depth first over increasing column tuples, so each subset's
+    keys are its parent's keys times q plus one more column.
     """
     points = collect_points(dset, spec, jobs=jobs, max_evals=max_evals)
     total = int(points.shape[1])
     if total == 0:
         raise DomainError(f"empty definable set: {dset.name} over {spec!r}")
+    labels, q = dset.free_vars, spec.q
+    hists = {}
+
+    def walk(cols, keys):
+        for c in range(cols[-1] + 1 if cols else 0, len(labels)):
+            sub = cols + (c,)
+            child = points[c] if keys is None else keys * q + points[c]
+            names = [labels[j] for j in sub]
+            hists[frozenset(names)] = _histogram_from_points(points, sub, names, q, child)
+            walk(sub, child)
+
+    walk((), None)
     entries = {frozenset(): LogValue.zero()}
-    for ks in polymatroid.subsets(dset.free_vars):
+    for ks in polymatroid.subsets(labels):
         if ks:
-            fh = _histogram_from_points(points, *_subset_columns(dset, ks), spec.q)
-            entries[ks] = entropy_of_counts(fh.buckets, total)
-    return Profile(dset.free_vars, entries)
+            entries[ks] = entropy_of_counts(hists[ks].buckets, total)
+    return Profile(labels, entries)
 
 
 def marginal_distribution(dset: DefinableSet, I, spec: FieldSpec) -> Distribution:

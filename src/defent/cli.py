@@ -223,6 +223,8 @@ def _cmd_extend(args):
     labels = _parse_labels(args.L) if args.L else ()
     if args.mode == "sw":
         if args.alpha == "auto":
+            if not set(labels) <= set(prof.ground_set):
+                raise DomainError("L must be a subset of the ground set")
             I = frozenset(prof.ground_set) - set(labels)
             alpha = polymatroid.cond_entropy(prof, I, labels)
         elif args.alpha == "0":

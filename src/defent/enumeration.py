@@ -1,5 +1,15 @@
 """Vectorized point enumeration for definable sets over finite fields.
 
+A plan pass runs first.  A top-level conjunct s*v + rest = 0 (s = +-1)
+defines v when v is a declared free variable occurring in no summand of
+rest and rest names no variable bound anywhere in the formula; the
+conjunct is dropped and v := -s*rest substituted into the other conjuncts
+and the earlier definitions, until no conjunct defines a variable.  Only
+the kept variables are enumerated (``max_evals`` bounds that grid), and
+``collect_points_vec`` rebuilds each eliminated column from the kept ones
+with the engine's own term evaluation, then restores the lexicographic
+order of the declared variables by one flat-key argsort (q^n < 2^63).
+
 Field elements stay element indices (gf's canonical encoding) end to end.
 Every variable owns one numpy axis: the free variables in declaration
 order, then each quantified variable.  A subterm is evaluated only over
@@ -376,6 +386,87 @@ class _Chunk:
         return acc
 
 
+# -- plan: eliminate defined variables ---------------------------------------------
+
+
+def _subst(node, v, t):
+    """node with every free occurrence of the variable v replaced by the term t."""
+    if isinstance(node, rl.Var):
+        return t if node.name == v else node
+    if isinstance(node, rl.Const):
+        return node
+    if isinstance(node, (rl.Add, rl.Mul)):
+        return type(node)(tuple(_subst(a, v, t) for a in node.args))
+    if isinstance(node, (rl.Neg, rl.Not)):
+        return type(node)(_subst(node.arg, v, t))
+    if isinstance(node, rl.Pow):
+        return rl.Pow(_subst(node.base, v, t), node.exp)
+    if isinstance(node, rl.Eq0):
+        return rl.Eq0(_subst(node.term, v, t))
+    if isinstance(node, (rl.And, rl.Or, rl.Implies)):
+        return type(node)(_subst(node.lhs, v, t), _subst(node.rhs, v, t))
+    if isinstance(node, (rl.Exists, rl.Forall)):
+        return node if node.var == v else type(node)(node.var, _subst(node.body, v, t))
+    raise TypeError(f"not a formula node: {node!r}")
+
+
+def _conjuncts(phi):
+    if isinstance(phi, rl.And):
+        return _conjuncts(phi.lhs) + _conjuncts(phi.rhs)
+    return [phi]
+
+
+def _definition(phi, free, bound):
+    """(v, t) when the conjunct phi is s*v + rest = 0 with v := -s*rest, else None.
+
+    v is a free variable occurring in no summand of rest, and rest names no
+    variable bound anywhere in the formula, so substituting t captures nothing.
+    """
+    if not isinstance(phi, rl.Eq0):
+        return None
+    summands = list(_summands(phi.term))
+    for i, (sign, u) in enumerate(summands):
+        if not (isinstance(u, rl.Var) and u.name in free):
+            continue
+        rest = summands[:i] + summands[i + 1 :]
+        names = {w for _, r in rest for w in rl.free_vars(r)}
+        if u.name in names or names & bound:
+            continue
+        args = tuple(r if s != sign else rl.Neg(r) for s, r in rest)
+        t = rl.Const(0) if not args else args[0] if len(args) == 1 else rl.Add(args)
+        return u.name, t
+    return None
+
+
+def _plan(dset):
+    """(reduced set, definitions) with the defined variables eliminated.
+
+    A top-level conjunct v = t is dropped and t substituted for v in the
+    other conjuncts and earlier definitions, until none is left.  The
+    reduced set keeps the other free variables in declaration order; each
+    definition (v, t) gives v as a term t in those.  Its points are in
+    bijection with dset's, so counts agree by construction.
+    """
+    free = list(dset.free_vars)
+    bound = set(_bound_names(dset.formula, []))
+    conj = _conjuncts(dset.formula)
+    defs = []
+    found = True
+    while found:
+        found = False
+        for i, phi in enumerate(conj):
+            d = _definition(phi, free, bound)
+            if d is not None:
+                v, t = d
+                conj = [_subst(c, v, t) for c in conj[:i] + conj[i + 1 :]]
+                defs = [(w, _subst(s, v, t)) for w, s in defs] + [(v, t)]
+                free.remove(v)
+                found = True
+                break
+    formula = functools.reduce(rl.And, conj) if conj else rl.Eq0(rl.Const(0))
+    return rl.DefinableSet(dset.name, tuple(free), formula), defs
+
+
 # -- chunked drivers ---------------------------------------------------------------
 
 
@@ -458,7 +549,7 @@ def _run_chunks(dset, spec, collect, jobs, max_evals):
 
 def count_points_vec(dset, spec, *, jobs=1, max_evals=DEFAULT_MAX_EVALS) -> int:
     """Number of assignments of the free variables satisfying the formula."""
-    count, _ = _run_chunks(dset, spec, False, jobs, max_evals)
+    count, _ = _run_chunks(_plan(dset)[0], spec, False, jobs, max_evals)
     return count
 
 
@@ -466,13 +557,29 @@ def collect_points_vec(dset, spec, *, jobs=1, max_evals=DEFAULT_MAX_EVALS) -> np
     """Element-index matrix of the satisfying assignments, shape (n, |X|).
 
     Row j holds the values of the j-th declared free variable; columns are
-    in enumeration order.
+    in enumeration order (lexicographic in the declared variables).
     """
-    _, sat = _run_chunks(dset, spec, True, jobs, max_evals)
-    n = len(dset.free_vars)
-    q = spec.q
-    out = np.empty((n, sat.shape[0]), dtype=np.int64)
-    for j in range(n):
-        div = q ** (n - 1 - j)
-        out[j] = (sat // div) % q
+    reduced, defs = _plan(dset)
+    n, q = len(dset.free_vars), spec.q
+    if defs and q**n >= 2**63:
+        raise BudgetError(f"points of {dset.name} over {spec!r} are too many to key")
+    _, sat = _run_chunks(reduced, spec, True, jobs, max_evals)
+    size, kept = sat.shape[0], reduced.free_vars
+    eng = get_engine(spec)
+    digits = np.unravel_index(sat, (q,) * len(kept)) if kept else ()
+    env = {v: d.astype(eng.dtype) for v, d in zip(kept, digits)}
+    del sat, digits  # int64 temporaries: free them before the rebuild allocates
+    for v, t in defs:
+        env[v] = np.broadcast_to(eng.term(t, env), (size,))
+    order = None
+    if defs:
+        key = np.zeros(size, dtype=np.int64)
+        for v in dset.free_vars:
+            key *= q
+            key += env[v]
+        order = np.argsort(key)
+        del key
+    out = np.empty((n, size), dtype=np.int64)
+    for j, v in enumerate(dset.free_vars):
+        out[j] = env[v] if order is None else env[v][order]
     return out

@@ -135,12 +135,16 @@ class Distribution:
 
 
 def entropy_of_counts(counts: dict, total: int) -> LogValue:
-    """log total - sum (k n / total) log n: total equal points in k blocks of each size n."""
-    h = log_of_rat(total)
+    """log total - (1/total) sum k n log n: total equal points in k blocks of each size n.
+
+    The sum is accumulated as integer prime exponents and divided once.
+    """
+    num = Counter()
     for n, k in counts.items():
         if n > 1:
-            h = h - log_of_rat(n).scale(Fraction(k * n, total))
-    return h
+            for p, e in log_of_rat(n)._terms.items():
+                num[p] += e * k * n
+    return log_of_rat(total) - LogValue._raw(dict(num)).scale(Fraction(1, total))
 
 
 def dist_entropy_profile(p: Distribution) -> Profile:

@@ -108,16 +108,17 @@ def test_criterion_01_kr_closed_forms(kr_factored):
 
 
 def test_kr_corrected_forms_match_census():
-    # companion check over GF(9), the first odd q that is not prime: the
-    # closed forms hold on an extension field too
-    q = 9
+    # companion check over GF(9), the first odd q that is not prime, and
+    # GF(11), whose 11^9 assignments exceed the budget without elimination
     kr = parse_set(KR_TEXT)
-    prof9 = entropy_profile(kr, field(3, 2))
-    # the profile of all nine variables is log |X|: q^3 (q-1)^2 = 46,656 points
-    assert prof9[kr.free_vars] == log_of_rat(q**3 * (q - 1) ** 2)
-    h = emit(f"KR factored q={q}", factor(prof9, kr.block_map()))
-    assert five_functionals(h) == kr_closed_form(q).as_dict()
-    print("[criterion 01+] PASS - closed forms equal the GF(9) census exactly")
+    for spec in (field(3, 2), field(11)):
+        q = spec.q
+        prof9 = entropy_profile(kr, spec)
+        # the profile of all nine variables is log |X|: q^3 (q-1)^2 points
+        assert prof9[kr.free_vars] == log_of_rat(q**3 * (q - 1) ** 2)
+        h = emit(f"KR factored q={q}", factor(prof9, kr.block_map()))
+        assert five_functionals(h) == kr_closed_form(q).as_dict()
+        print(f"[criterion 01+] PASS - closed forms equal the GF({q}) census exactly")
 
 
 MACAULAY_VALUES = {

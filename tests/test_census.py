@@ -28,7 +28,7 @@ from defent import (
 )
 from defent import ringlang as rl
 from defent.census import CensusTable, collect_points
-from defent.enumeration import _chunk_plan
+from defent.enumeration import _chunk_plan, _plan
 from defent.polymatroid import Profile
 
 
@@ -255,16 +255,22 @@ def test_determinism_across_jobs(hyp_set, sqrt_set, kr_set):
     b = tower_census(sqrt_set, 3, 4, jobs=2)
     assert a == b
     assert count_points(hyp_set, field(7), jobs=3) == 13
-    # a set whose grid the pool really splits
-    _, chunks = _chunk_plan(kr_set, field(7))
+    # a set whose reduced grid (13^6 assignments) the pool really splits
+    _, chunks = _chunk_plan(_plan(kr_set)[0], field(13))
     assert len(chunks) > 1
-    serial = collect_points(kr_set, field(7))
-    assert np.array_equal(serial, collect_points(kr_set, field(7), jobs=2))
+    serial = collect_points(kr_set, field(13))
+    assert np.array_equal(serial, collect_points(kr_set, field(13), jobs=2))
 
 
 def test_budget_guard(kr_set):
+    # the budget bounds the assignments walked: 5^6 after elimination
     with pytest.raises(BudgetError):
-        count_points(kr_set, field(5), max_evals=10**5)
+        count_points(kr_set, field(5), max_evals=10**4)
+
+
+def test_kr_counts_beyond_the_nine_variable_grid(kr_set):
+    # 13^9 > 10^9 assignments, but only 13^6 are walked
+    assert count_points(kr_set, field(13)) == 13**3 * 12**2
 
 
 def test_census_json(hyp_set):

@@ -98,6 +98,119 @@ def test_printed_sets_reparse_to_the_same_points(case):
     assert np.array_equal(collect_points(again, spec), collect_points(dset, spec))
 
 
+# -- eliminating defined variables ---------------------------------------------
+
+
+def quantifiers(phi, level=0):
+    """(variable, nesting level) of every quantifier in phi."""
+    if isinstance(phi, (rl.Exists, rl.Forall)):
+        return [(phi.var, level + 1)] + quantifiers(phi.body, level + 1)
+    if isinstance(phi, rl.Not):
+        return quantifiers(phi.arg, level)
+    if isinstance(phi, (rl.And, rl.Or, rl.Implies)):
+        return quantifiers(phi.lhs, level) + quantifiers(phi.rhs, level)
+    return []
+
+
+@st.composite
+def defined_cases(draw):
+    """A fuzz set with the conjunct v = t or v = -t prepended.
+
+    v is a new, a free or a quantified variable.  t sometimes names a
+    quantified variable, which is then declared free as well: substituting
+    t for v under that quantifier would capture it.
+    """
+    dset, _ = draw(fuzz_cases())
+    quants = quantifiers(dset.formula)
+    bound = sorted({b for b, _ in quants})
+    v = draw(st.sampled_from(("v",) + dset.free_vars + tuple(bound)))
+    scope = list(dset.free_vars) + [v]
+    if bound and draw(st.booleans()):
+        scope.append(draw(st.sampled_from(bound)))
+    names = st.sampled_from(scope)
+    atom = st.one_of(
+        names.map(rl.Var),
+        st.integers(0, 4).map(rl.Const),
+        st.tuples(names, names).map(lambda ab: rl.Mul((rl.Var(ab[0]), rl.Var(ab[1])))),
+    )
+    t = rl.Add(tuple(draw(st.lists(atom, min_size=1, max_size=3))))
+    rhs = t if draw(st.booleans()) else rl.Neg(t)  # v = -t or v = t
+    phi = rl.And(rl.Eq0(rl.Add((rl.Var(v), rhs))), dset.formula)
+    new = [w for w in [v, *rl.free_vars(t)] if w not in dset.free_vars]
+    free = tuple(dict.fromkeys(new)) + dset.free_vars
+    nest = max((level for _, level in quants), default=0)
+    fits = [s for s in FUZZ_FIELDS if s.q ** (len(free) + nest) <= FUZZ_WORK]
+    return rl.DefinableSet("D", free, phi), draw(st.sampled_from(fits))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(defined_cases())
+def test_elimination_matches_scalar_evaluator(case):
+    dset, spec = case
+    want = oracle_points(dset, spec)
+    assert count_points(dset, spec) == want.shape[1]
+    assert np.array_equal(collect_points(dset, spec), want)
+    with mock.patch.object(enumeration, "_CHUNK_ELEMS", 3):
+        assert count_points(dset, spec) == want.shape[1]
+        assert np.array_equal(collect_points(dset, spec), want)
+
+
+def test_kr_plans_to_six_variables(kr_set):
+    reduced, defs = enumeration._plan(kr_set)
+    assert len(reduced.free_vars) == 6 and len(defs) == 3
+    assert set(reduced.free_vars) | {v for v, _ in defs} == set(kr_set.free_vars)
+    for _, t in defs:
+        assert set(rl.free_vars(t)) <= set(reduced.free_vars)
+
+
+@pytest.mark.parametrize("spec", [field(2), field(5), field(3, 2)], ids=repr)
+def test_every_variable_eliminated(spec):
+    dset = rl.parse_set("set S(x) := x = 1")
+    reduced, defs = enumeration._plan(dset)
+    assert reduced.free_vars == () and [v for v, _ in defs] == ["x"]
+    assert count_points(dset, spec) == 1
+    assert np.array_equal(collect_points(dset, spec), [[1]])
+
+
+def test_chained_definitions():
+    dset = rl.parse_set("set C(u, v, x) := u = v + 1 /\\ v = x*x")
+    reduced, defs = enumeration._plan(dset)
+    assert reduced.free_vars == ("x",)
+    assert [rl.free_vars(t) for _, t in defs] == [["x"], ["x"]]
+    for spec in (field(5), field(2, 2)):
+        assert count_points(dset, spec) == spec.q
+        assert np.array_equal(collect_points(dset, spec), oracle_points(dset, spec))
+
+
+V, Y = rl.Var("v"), rl.Var("y")
+
+
+@pytest.mark.parametrize("body, count", [
+    (rl.Eq0(rl.Add((rl.Mul((V, Y)), rl.Const(-1)))), 2),  # v := y would be captured
+    (rl.Eq0(rl.Add((Y, rl.Neg(V), rl.Const(-1)))), 3),    # y := v stops at the binder
+])
+def test_definitions_do_not_capture(body, count):
+    # v = y /\ exists y. body, with y both free and quantified
+    dset = rl.DefinableSet("K", ("v", "y"), rl.And(rl.Eq0(rl.Add((V, rl.Neg(Y)))), rl.Exists("y", body)))
+    assert enumeration._plan(dset)[0].free_vars == ("v",)
+    spec = field(3)
+    want = oracle_points(dset, spec)
+    assert want.shape[1] == count
+    assert count_points(dset, spec) == count
+    assert np.array_equal(collect_points(dset, spec), want)
+
+
+@pytest.mark.parametrize("text", ["set T(v) := v + v = 0", "set U(v, y) := 2*v = y"])
+def test_non_definitions_keep_their_variable(text):
+    # v occurs twice, or times 2: neither defines v (2*v = y does define y)
+    dset = rl.parse_set(text)
+    assert "v" in enumeration._plan(dset)[0].free_vars
+    for spec in (field(2), field(3), field(2, 2)):
+        want = oracle_points(dset, spec)
+        assert count_points(dset, spec) == want.shape[1]
+        assert np.array_equal(collect_points(dset, spec), want)
+
+
 # -- field tables against gf ---------------------------------------------------
 
 SMALL_FIELDS = [field(p, e) for p, e in [
