@@ -9,6 +9,7 @@ format error, 3 domain or precondition error, 4 work budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -37,8 +38,9 @@ def _load_profile(path: str) -> Profile:
 
 def _normalized_json(profile: Profile, base: int) -> dict:
     out = {}
+    order = polymatroid.label_order(profile.ground_set)
     for ks, val in profile.normalized(base).items():
-        key = polymatroid.subset_key(profile.ground_set, ks)
+        key = polymatroid.subset_key(order, ks)
         if isinstance(val, Fraction):
             out[key] = f"{val.numerator}/{val.denominator}" if val.denominator != 1 else str(val.numerator)
         else:
@@ -256,7 +258,10 @@ def _add_enum_flags(p):
                    help="assignment budget (default 1e9); exceeding exits 4")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: ``parse_args`` keeps no state
+    between calls, so every ``main`` call in one process shares it."""
     ap = argparse.ArgumentParser(
         prog="defent",
         description="entropy profiles of definable sets over finite fields",

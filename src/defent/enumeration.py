@@ -119,13 +119,11 @@ class _Engine:
         no mask for zero factors.
         """
         p, e, q = self.p, self.e, self.q
-        # float64 products are exact: e * p^2 stays far below 2^53 for any
-        # q whose O(q) tables fit in memory
-        comp = np.zeros((e, e))
+        comp = np.zeros((e, e), dtype=np.int64)
         comp[np.arange(e - 1), np.arange(1, e)] = 1
         comp[e - 1] = [(-c) % p for c in self.spec.modulus[:e]]
-        step = np.zeros((e, e))
-        power = np.eye(e)
+        step = np.zeros((e, e), dtype=np.int64)
+        power = np.eye(e, dtype=np.int64)
         for gi in self.spec.digits(self.spec.generator()):
             step = (step + gi * power) % p
             power = power @ comp % p
@@ -134,10 +132,10 @@ class _Engine:
         m = 1
         while m < q - 1:
             k = min(m, q - 1 - m)
-            digits[m : m + k] = (digits[:k] @ step).astype(np.int64) % p
+            digits[m : m + k] = digits[:k] @ step % p
             step = step @ step % p
             m += k
-        exp = (digits @ (float(p) ** np.arange(e))).astype(np.int64)
+        exp = digits @ p ** np.arange(e, dtype=np.int64)
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(q - 1)
         if (log[1:] < 0).any():

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DomainError, malformed
-from .logval import LogValue, log_of_rat
+from .logval import LogValue, _canon, log_of_rat
 from .polymatroid import (
     H,
     Profile,
@@ -33,6 +33,7 @@ from .polymatroid import (
     entries_to_json,
     eval_functional,
     is_polymatroid,
+    label_order,
     parse_functional,
     subset_key,
     subsets,
@@ -137,14 +138,15 @@ class Distribution:
 def entropy_of_counts(counts: dict, total: int) -> LogValue:
     """log total - (1/total) sum k n log n: total equal points in k blocks of each size n.
 
-    The sum is accumulated as integer prime exponents and divided once.
+    Per prime p the coefficient is (total e_p(total) - sum k n e_p(n)) / total,
+    an integer numerator over one denominator.
     """
-    num = Counter()
+    num = {p: total * e for p, e in log_of_rat(total)._terms.items()}
     for n, k in counts.items():
         if n > 1:
             for p, e in log_of_rat(n)._terms.items():
-                num[p] += e * k * n
-    return log_of_rat(total) - LogValue._raw(dict(num)).scale(Fraction(1, total))
+                num[p] = num.get(p, 0) - e * k * n
+    return LogValue._raw({p: _canon(Fraction(c, total)) for p, c in num.items() if c})
 
 
 def dist_entropy_profile(p: Distribution) -> Profile:
@@ -355,7 +357,7 @@ def check_extension(pp: PartialProfile, candidate: Profile, *,
         raise DomainError("candidate ground set differs from the partial profile's")
     for ks, val in pp.entries.items():
         if val is not None and candidate[ks] != val:
-            key = subset_key(pp.ground_set, ks)
+            key = subset_key(label_order(pp.ground_set), ks)
             return ExtensionCheck(False, f"entry {{{key}}} does not match")
     for j, f in enumerate(pp.constraints):
         if eval_functional(f, candidate).sign() != 0:

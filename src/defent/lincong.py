@@ -360,15 +360,12 @@ def torus_profile(matrix: IntMatrix, spec: FieldSpec) -> Profile:
     total = m**d
     if total > BRUTEFORCE_BUDGET:
         raise BudgetError(f"torus enumeration needs {total} tuples (budget {BRUTEFORCE_BUDGET})")
-    image = set()
     nonzero = [a for a in spec.elements() if a != 0]
-    for t in itertools.product(nonzero, repeat=d):
-        image.add(
-            tuple(
-                _monomial(spec, t, row)
-                for row in matrix.rows
-            )
-        )
+    # power[a][t] = t^a for every nonzero t and every exponent a of the matrix
+    power = {a: {t: spec.pow(t, a) for t in nonzero}
+             for a in {a for row in matrix.rows for a in row if a}}
+    image = {tuple(_monomial(spec, t, row, power) for row in matrix.rows)
+             for t in itertools.product(nonzero, repeat=d)}
     pr = Fraction(1, len(image))
     dist = Distribution(
         matrix.labels,
@@ -378,11 +375,11 @@ def torus_profile(matrix: IntMatrix, spec: FieldSpec) -> Profile:
     return dist_entropy_profile(dist)
 
 
-def _monomial(spec, t, exponents):
+def _monomial(spec, t, exponents, power):
     out = 1
     for tj, a in zip(t, exponents):
         if a:
-            out = spec.mul(out, spec.pow(tj, a))
+            out = spec.mul(out, power[a][tj])
     return out
 
 

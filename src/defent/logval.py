@@ -118,6 +118,11 @@ def _log_bounds(p: int, prec: int) -> tuple[int, int]:
     return _iv_eval(p, prec)
 
 
+#: The Fraction a coefficient string spells.  Profile files repeat a few dozen
+#: coefficient strings many times over; a malformed one still raises, uncached.
+_decode = functools.lru_cache(maxsize=4096)(Fraction)
+
+
 def _canon(c):
     """The stored form of a nonzero rational: int when integral, else Fraction."""
     return c.numerator if c.denominator == 1 else c
@@ -139,7 +144,8 @@ class LogValue:
         canon: dict[int, int | Fraction] = {}
         if terms:
             for p, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c == 0:
                     continue
                 if p < 2 or not is_prime(p):
@@ -331,7 +337,8 @@ class LogValue:
         if not isinstance(obj, dict) or not isinstance(obj.get("terms"), dict):
             raise DomainError("LogValue JSON must be an object with a 'terms' object")
         try:
-            terms = {int(k): Fraction(v) for k, v in obj["terms"].items()}
+            terms = {int(k): _decode(v) if type(v) is str else Fraction(v)
+                     for k, v in obj["terms"].items()}
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"bad LogValue term in {obj['terms']!r}: {exc}") from None
         return cls(terms)

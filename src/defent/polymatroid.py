@@ -16,8 +16,8 @@ elemental Shannon check evaluates its inequalities as integer rows over the
 profile's prime-exponent matrix: an all-zero row needs no sign, and each
 distinct nonzero row is signed once per call.
 
-Subsets are walked (``subsets``), keyed in JSON (``subset_key``,
-``parse_subset_key``, ``entries_to_json``) and combined into Shannon
+Subsets are walked (``subsets``), keyed in JSON (``label_order``,
+``subset_key``, ``parse_subset_key``, ``entries_to_json``) and combined into Shannon
 quantities (``cond_entropy``, ``cond_mi``, ``ingleton``) here and nowhere
 else: one walk, one codec, each quantity defined once, as a signed sum over
 profile entries that builds one result.  Evaluated on ``H``, the symbolic
@@ -55,9 +55,13 @@ def subsets(labels):
             yield frozenset(comb)
 
 
-def subset_key(ground_set, ks) -> str:
-    """JSON key of a subset: its labels in ground-set order, comma-joined."""
-    order = {v: i for i, v in enumerate(ground_set)}
+def label_order(ground_set) -> dict:
+    """label -> position in the ground set, the sort key of ``subset_key``."""
+    return {v: i for i, v in enumerate(ground_set)}
+
+
+def subset_key(order: dict, ks) -> str:
+    """JSON key of a subset: its labels in ground-set order (``label_order``), comma-joined."""
     return ",".join(sorted(ks, key=order.get))
 
 
@@ -67,7 +71,8 @@ def parse_subset_key(key: str) -> frozenset:
 
 def entries_to_json(ground_set, entries) -> dict:
     """subset_key -> value JSON (None stays None), smallest subsets first."""
-    keyed = sorted(((len(ks), subset_key(ground_set, ks), v) for ks, v in entries.items()),
+    order = label_order(ground_set)
+    keyed = sorted(((len(ks), subset_key(order, ks), v) for ks, v in entries.items()),
                    key=lambda t: t[:2])
     return {key: None if v is None else v.to_json() for _, key, v in keyed}
 

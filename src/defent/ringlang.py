@@ -546,13 +546,18 @@ def eval_formula(phi, assignment: dict, spec: FieldSpec) -> bool:
             return (not rec(node.lhs)) or rec(node.rhs)
         if isinstance(node, (Exists, Forall)):
             want = isinstance(node, Exists)
+            outer = env.get(node.var)  # a free variable of the same name, restored after
+            result = not want
             for v in spec.elements():
                 env[node.var] = v
                 if rec(node.body) == want:
-                    del env[node.var]
-                    return want
-            env.pop(node.var, None)
-            return not want
+                    result = want
+                    break
+            if outer is None:
+                del env[node.var]
+            else:
+                env[node.var] = outer
+            return result
         raise TypeError(f"not a formula: {node!r}")
 
     return rec(phi)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import defent
-from defent.cli import main
+from defent.cli import build_parser, main
 from conftest import HYP_TEXT, KR_TEXT, SQRT_TEXT
 
 PAPER_MATRIX_TEXT = "1 0 2 3 0\n2 9 7 7 7\n9 3 3 3 0\n2 2 7 7 7\n"
@@ -243,3 +243,17 @@ def test_import_loads_neither_mpmath_nor_the_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_parser_built_once_per_process(capsys, tmp_path, hyp_file):
+    build_parser.cache_clear()
+    prof = tmp_path / "hyp.json"
+    assert main(["-o", str(prof), "profile", hyp_file, "--p", "5"]) == 0
+    check = ["check", str(prof), "--expr", "I(x:y)"]
+    assert run(capsys, ["check", str(prof)]) == (2, "")  # argparse errors: no stdout
+    code, first = run(capsys, check)
+    assert run(capsys, ["check", str(prof), "--gmm", "--expr", "H(x)"]) == (2, "")
+    # neither the earlier -o nor the failed parses carry over into a later call
+    assert run(capsys, check) == (code, first)
+    assert code == 0 and json.loads(first)["expr"] == "I(x:y)"
+    assert build_parser.cache_info().misses == 1

@@ -200,6 +200,16 @@ def test_definitions_do_not_capture(body, count):
     assert np.array_equal(collect_points(dset, spec), want)
 
 
+def test_oracle_restores_a_shadowed_free_variable():
+    # (exists y. y = 0) /\ y = 1: the quantifier's y ends, the free y = 1 is read again
+    phi = rl.And(rl.Exists("y", rl.Eq0(Y)), rl.Eq0(rl.Add((Y, rl.Const(-1)))))
+    dset = rl.DefinableSet("S", ("y",), phi)
+    spec = field(3)
+    assert [y for y in spec.elements() if eval_formula(phi, {"y": y}, spec)] == [1]
+    assert count_points(dset, spec) == 1
+    assert np.array_equal(collect_points(dset, spec), oracle_points(dset, spec))
+
+
 @pytest.mark.parametrize("text", ["set T(v) := v + v = 0", "set U(v, y) := 2*v = y"])
 def test_non_definitions_keep_their_variable(text):
     # v occurs twice, or times 2: neither defines v (2*v = y does define y)
@@ -238,6 +248,13 @@ def test_tables_match_field_arithmetic_exhaustive(spec):
         assert np.array_equal(eng.ADD, add) and np.array_equal(eng.MUL, mul)
         assert np.array_equal(eng._log_mul(a, b), mul)
         assert np.array_equal(eng.NEG, neg)
+
+
+@pytest.mark.parametrize("spec", [field(2, 6), field(3, 4), field(7, 3)], ids=repr)
+def test_log_exp_tables_match_generator_powers(spec):
+    eng, g = get_engine(spec), spec.generator()
+    for k in range(spec.q - 1):
+        assert eng.EXP[k] == spec.pow(g, k) and eng.LOG[eng.EXP[k]] == k
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -230,6 +230,16 @@ def test_torus_matches_lincong():
             assert torus_profile(mat, spec) == profile_lincong(mat, spec.q - 1)
 
 
+def test_torus_matches_lincong_over_extension_fields():
+    rng = random.Random(8)
+    for spec in (field(2, 3), field(3, 2)):
+        for _ in range(8):
+            mat = IntMatrix.from_rows(
+                [[rng.randint(-10, 10) for _ in range(2)] for _ in range(3)]
+            )
+            assert torus_profile(mat, spec) == profile_lincong(mat, spec.q - 1)
+
+
 def test_dirichlet_examples():
     assert dirichlet_modulus(IntMatrix.from_rows([(1, 0), (0, 1)])) == 1
     assert suggest_primes(1, 3) == [2, 3, 5]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defent import Approx, DomainError, LogValue, log_of_rat
+from defent.extend import entropy_of_counts
 from defent.logval import FACTOR_CAP, _log_bounds, factorize, is_prime
 
 
@@ -124,6 +125,50 @@ def test_json_round_trip():
     assert LogValue.from_json({"terms": {}}) == LogValue.zero()
     with pytest.raises(DomainError):
         LogValue.from_json({"nope": 1})
+
+
+def test_json_decode_cache_keeps_errors():
+    blob = {"terms": {"2": "-5/9", "3": "2/1", "11": "7/2"}}
+    for _ in range(2):
+        assert LogValue.from_json(blob) == LogValue({2: Fraction(-5, 9), 3: 2, 11: Fraction(7, 2)})
+    assert LogValue.from_json({"terms": {"5": "0/3", "7": 3}}) == log_of_rat(343)
+    # malformed coefficients raise every time, decoded before or not; non-strings
+    # go through Fraction unchanged; every key is still checked for primality
+    for terms in ({"2": "x"}, {"2": "1/0"}, {"2": "-5/9/"}, {"2": [1]}, {"2": None},
+                  {"4": "-5/9"}, {"1": "2/1"}, {"x": "2/1"}):
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                LogValue.from_json({"terms": terms})
+
+
+def _entropy_reference(counts, total):
+    """log total - (1/total) sum k n log n as prime -> Fraction, by trial division."""
+    coef = {}
+
+    def add_log(n, w):
+        d = 2
+        while n > 1:
+            while n % d == 0:
+                coef[d] = coef.get(d, 0) + w
+                n //= d
+            d += 1
+
+    add_log(total, Fraction(1))
+    for n, k in counts.items():
+        add_log(n, Fraction(-k * n, total))
+    return {p: c for p, c in coef.items() if c}
+
+
+def test_entropy_of_counts_matches_fraction_reference():
+    rng = random.Random(14)
+    for _ in range(300):
+        counts = {rng.randint(1, 120): rng.randint(1, 40) for _ in range(rng.randint(1, 5))}
+        total = sum(n * k for n, k in counts.items())
+        got = entropy_of_counts(counts, total)
+        want = _entropy_reference(counts, total)
+        assert got.terms == want and got == LogValue(want)
+    assert entropy_of_counts({1: 9}, 9) == log_of_rat(9)  # uniform: log of the support
+    assert entropy_of_counts({9: 1}, 9).is_zero()         # one block: a constant
 
 
 def test_hash_and_eq():

@@ -28,7 +28,7 @@ from defent import (
     scan_threshold,
     zero_profile,
 )
-from defent.polymatroid import H, LinFunctional, subset_key, subsets
+from defent.polymatroid import H, LinFunctional, label_order, subset_key, subsets
 
 Z = LogValue.zero()
 L2 = log_of_rat(2)
@@ -147,7 +147,7 @@ def scalar_polymatroid(h):
     for a, b in itertools.combinations(gs, 2):
         for k in subsets(v for v in gs if v not in (a, b)):
             if cond_mi(h, (a,), (b,), k).sign() < 0:
-                return False, f"h({a}:{b}|{subset_key(gs, k) or 'empty'}) < 0"
+                return False, f"h({a}:{b}|{subset_key(label_order(gs), k) or 'empty'}) < 0"
     return True, None
 
 
