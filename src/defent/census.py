@@ -292,9 +292,10 @@ def estimate_dim_measure(rows) -> AsymptoticEstimate:
 def detect_period(table: CensusTable, m_max: int) -> PeriodReport:
     """Smallest m with constant (d, mu) estimates in each class of e mod m.
 
-    Estimates are computed from every adjacent pair of rows inside a class
-    and must agree exactly; every class needs at least two rows for m to be
-    a candidate.
+    Every class needs at least two rows for m to be a candidate.  A class's
+    law is read off its tail: the estimates from its last two adjacent pairs
+    (its one pair, with two rows) must agree exactly; smaller fields are not
+    consulted, as their estimates may still be off.
     """
     rows = sorted(table.rows, key=lambda r: r.e)
     failures = {}
@@ -309,7 +310,8 @@ def detect_period(table: CensusTable, m_max: int) -> PeriodReport:
         reason = None
         for res, rs in sorted(classes.items()):
             try:
-                pair_estimates = [estimate_dim_measure([a, b]) for a, b in zip(rs, rs[1:])]
+                tail = rs[-3:]
+                pair_estimates = [estimate_dim_measure([a, b]) for a, b in zip(tail, tail[1:])]
             except EstimationError as exc:
                 reason = f"class {res}: {exc}"
                 break

@@ -48,13 +48,14 @@ import functools
 import numpy as np
 
 from . import ringlang as rl
-from .errors import BudgetError
+from .errors import BudgetError, DomainError
 from .gf import FieldSpec
 
 DEFAULT_MAX_EVALS = 10**9
 _CHUNK_ELEMS = 1 << 21
 _TABLE_BYTES = 1 << 22  # int16 q x q ADD plus MUL: q <= 1024
 _ENGINE_CACHE = 8
+_MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32  # numpy's ndim limit
 
 
 @functools.lru_cache(maxsize=_ENGINE_CACHE)
@@ -256,14 +257,13 @@ class _Engine:
         return vec
 
 
-def _summands(t, sign=1):
-    if isinstance(t, rl.Add):
-        for a in t.args:
-            yield from _summands(a, sign)
-    elif isinstance(t, rl.Neg):
-        yield from _summands(t.arg, -sign)
-    else:
-        yield (sign, t)
+def _summands(t):
+    """(sign, summand) pairs of t through nested sums and negations, in order."""
+    k, t = rl.unwrap(t)
+    sign = -1 if k % 2 else 1
+    if not isinstance(t, rl.Add):
+        return [(sign, t)]
+    return [(sign * s, u) for a in t.args for s, u in _summands(a)]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -294,30 +294,35 @@ def _additive_split(node):
 @functools.lru_cache(maxsize=1024)
 def _depth(phi) -> int:
     """Nesting depth of the quantifier axes evaluating phi materialises."""
+    phi = rl.unwrap(phi)[1]
     if isinstance(phi, rl.Eq0):
         return 0
-    if isinstance(phi, rl.Not):
-        return _depth(phi.arg)
-    if isinstance(phi, (rl.And, rl.Or, rl.Implies)):
-        return max(_depth(phi.lhs), _depth(phi.rhs))
     if isinstance(phi, (rl.Exists, rl.Forall)):
         if phi.var not in rl.free_vars(phi.body) or _additive_split(phi):
             return _depth(phi.body)
         return 1 + _depth(phi.body)
-    raise TypeError(f"not a formula: {phi!r}")
+    return max(map(_depth, rl.children(phi)))
 
 
-def _bound_names(phi, out):
-    if isinstance(phi, rl.Not):
-        _bound_names(phi.arg, out)
-    elif isinstance(phi, (rl.And, rl.Or, rl.Implies)):
-        _bound_names(phi.lhs, out)
-        _bound_names(phi.rhs, out)
-    elif isinstance(phi, (rl.Exists, rl.Forall)):
-        if phi.var not in out:
-            out.append(phi.var)
-        _bound_names(phi.body, out)
-    return out
+def _bound_names(phi) -> list:
+    """Quantified variable names of phi in order of first occurrence."""
+    out, stack = {}, [phi]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (rl.Exists, rl.Forall)):
+            out.setdefault(node.var)
+        if not isinstance(node, rl.Eq0):  # terms bind nothing
+            stack.extend(reversed(rl.children(node)))
+    return list(out)
+
+
+def _axis_names(dset) -> list:
+    """The variable of each numpy axis: the free ones in order, then the quantified ones."""
+    names = list(dict.fromkeys(dset.free_vars + tuple(_bound_names(dset.formula))))
+    if len(names) > _MAX_AXES:
+        raise DomainError(f"{dset.name} has {len(names)} variables, one numpy axis each; "
+                          f"enumeration handles at most {_MAX_AXES}")
+    return names
 
 
 def _axis_range(lo, hi, axis, ndim, dtype):
@@ -339,13 +344,17 @@ class _Chunk:
         if isinstance(phi, rl.Eq0):
             return self.eng.is_zero(phi.term, self.env)
         if isinstance(phi, rl.Not):
-            return ~self.formula(phi.arg)
-        if isinstance(phi, rl.And):
-            a = self.formula(phi.lhs)
-            return a & self.formula(phi.rhs) if a.any() else a
-        if isinstance(phi, rl.Or):
-            a = self.formula(phi.lhs)
-            return a | self.formula(phi.rhs) if not a.all() else a
+            k, inner = rl.unwrap(phi)
+            r = self.formula(inner)
+            return ~r if k % 2 else r
+        if isinstance(phi, (rl.And, rl.Or)):
+            conj = isinstance(phi, rl.And)
+            acc = self.formula(phi.args[0])
+            for a in phi.args[1:]:
+                if (not acc.any()) if conj else acc.all():  # every row is decided
+                    break
+                acc = acc & self.formula(a) if conj else acc | self.formula(a)
+            return acc
         if isinstance(phi, rl.Implies):
             a = self.formula(phi.lhs)
             return ~a | self.formula(phi.rhs) if a.any() else ~a
@@ -393,24 +402,26 @@ def _subst(node, v, t):
         return t if node.name == v else node
     if isinstance(node, rl.Const):
         return node
-    if isinstance(node, (rl.Add, rl.Mul)):
+    if isinstance(node, (rl.Add, rl.Mul, rl.And, rl.Or)):
         return type(node)(tuple(_subst(a, v, t) for a in node.args))
     if isinstance(node, (rl.Neg, rl.Not)):
-        return type(node)(_subst(node.arg, v, t))
+        k, inner = rl.unwrap(node)
+        return rl.rewrap(type(node), k, _subst(inner, v, t))
     if isinstance(node, rl.Pow):
         return rl.Pow(_subst(node.base, v, t), node.exp)
     if isinstance(node, rl.Eq0):
         return rl.Eq0(_subst(node.term, v, t))
-    if isinstance(node, (rl.And, rl.Or, rl.Implies)):
-        return type(node)(_subst(node.lhs, v, t), _subst(node.rhs, v, t))
+    if isinstance(node, rl.Implies):
+        return rl.Implies(_subst(node.lhs, v, t), _subst(node.rhs, v, t))
     if isinstance(node, (rl.Exists, rl.Forall)):
         return node if node.var == v else type(node)(node.var, _subst(node.body, v, t))
     raise TypeError(f"not a formula node: {node!r}")
 
 
 def _conjuncts(phi):
+    """The top-level conjuncts of phi, through nested And groups."""
     if isinstance(phi, rl.And):
-        return _conjuncts(phi.lhs) + _conjuncts(phi.rhs)
+        return [c for a in phi.args for c in _conjuncts(a)]
     return [phi]
 
 
@@ -422,7 +433,7 @@ def _definition(phi, free, bound):
     """
     if not isinstance(phi, rl.Eq0):
         return None
-    summands = list(_summands(phi.term))
+    summands = _summands(phi.term)
     for i, (sign, u) in enumerate(summands):
         if not (isinstance(u, rl.Var) and u.name in free):
             continue
@@ -446,7 +457,7 @@ def _plan(dset):
     bijection with dset's, so counts agree by construction.
     """
     free = list(dset.free_vars)
-    bound = set(_bound_names(dset.formula, []))
+    bound = set(_bound_names(dset.formula))
     conj = _conjuncts(dset.formula)
     defs = []
     found = True
@@ -461,7 +472,7 @@ def _plan(dset):
                 free.remove(v)
                 found = True
                 break
-    formula = functools.reduce(rl.And, conj) if conj else rl.Eq0(rl.Const(0))
+    formula = rl.And(tuple(conj)) if len(conj) > 1 else conj[0] if conj else rl.Eq0(rl.Const(0))
     return rl.DefinableSet(dset.name, tuple(free), formula), defs
 
 
@@ -491,7 +502,7 @@ def _chunk_plan(dset, spec):
 def _eval_chunk(dset, spec, k, lo, hi, collect):
     eng = get_engine(spec)
     free = dset.free_vars
-    names = list(free) + [v for v in _bound_names(dset.formula, []) if v not in free]
+    names = _axis_names(dset)
     axes = {v: i for i, v in enumerate(names)}
     n, q, ndim = len(free), spec.q, len(names)
     shape = [1] * ndim
@@ -529,6 +540,7 @@ def _budget_check(dset, spec, max_evals):
 
 def _run_chunks(dset, spec, collect, jobs, max_evals):
     _budget_check(dset, spec, max_evals)
+    _axis_names(dset)  # too many variables is a domain error before any chunk runs
     k, ranges = _chunk_plan(dset, spec)
     tasks = [(dset, spec, k, lo, hi, collect) for lo, hi in ranges]
     if jobs > 1 and len(ranges) > 1:

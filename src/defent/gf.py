@@ -75,20 +75,16 @@ def _pgcd(a, b, p):
 def _irreducible(f, p):
     """Rabin test: x^(p^e) = x mod f, and gcd(x^(p^k) - x, f) = 1 for k < e."""
     e = len(f) - 1
-    if e == 1:
-        return True
     t = [0, 1]
     for k in range(1, e + 1):
         t = _ppowmod(t, p, f, p)
         diff = list(t) + [0] * (2 - len(t))
         diff[1] = (diff[1] - 1) % p
         diff = _trim(diff)
-        if k < e:
-            if len(_pgcd(f, diff, p)) != 1:
-                return False
-        else:
+        if k == e:
             return not diff
-    return False
+        if len(_pgcd(f, diff, p)) != 1:
+            return False
 
 
 def _canonical_modulus(p, e):

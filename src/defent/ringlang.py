@@ -10,15 +10,15 @@ Set files use the grammar:
 
     set Name(v1, ..., vn) [blocks B1=(..); B2=(..) ...] := formula
 
-    formula    := quantified | quantified "->" formula
-    quantified := ("exists"|"forall") var "." formula | disj
-    disj       := conj ("\\/" conj)*
-    conj       := lit ("/\\" lit)*
-    lit        := "~" lit | "(" formula ")" | atom
-    atom       := term ("=" | "!=") term
-    term       := arithmetic over + - * ^ with integer literals and
-                  variables; ^ binds tightest, then unary -, then *,
-                  then + and -.  Exponents are natural number literals.
+A formula is one expression over integer literals and variables with, loosest
+first: "->" (right-associative); "\\/"; "/\\"; prefix "~", "exists v." and
+"forall v." (a body runs to the end); "=" and "!=" between terms; "+" and
+"-"; "*"; unary "-"; "^" with a literal exponent >= 1.  A chain of \\/, of /\\,
+of + and -, or of * is one n-ary node ("a - b" adds Neg(b)); "=", "!=" and
+"^" do not chain.  A group "( )" is a term or a formula, as the operator
+around it requires, and keeps its own node.  Input nested deeper than
+MAX_DEPTH levels is rejected; a run of ~ or of unary - is one level, as the
+walkers here, hashing, comparison and pickling all loop over such runs.
 
 "s = t" is sugar for "s - t = 0" and "s != t" for its negation; "->" is
 the Implies node.  "#" starts a comment until end of line.  Quantified
@@ -45,6 +45,27 @@ class ParseError(ValueError):
 
 # -- AST ----------------------------------------------------------------------
 
+class _Run:
+    """Neg and Not nest in runs of any length ("---x", "~~~x = 0"); hashing,
+    comparing and pickling walk a run in a loop, not a Python frame per node."""
+
+    def __hash__(self):
+        return hash((type(self), *unwrap(self)))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and unwrap(self) == unwrap(other)
+
+    def __reduce__(self):
+        return rewrap, (type(self), *unwrap(self))
+
+
+def rewrap(cls, k, inner):
+    """k nested cls nodes around inner, the inverse of unwrap."""
+    for _ in range(k):
+        inner = cls(inner)
+    return inner
+
+
 @dataclass(frozen=True)
 class Var:
     name: str
@@ -61,8 +82,8 @@ class Add:
 class Mul:
     args: tuple
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False)
+class Neg(_Run):
     arg: object
 
 @dataclass(frozen=True)
@@ -75,19 +96,17 @@ class Pow:
 class Eq0:
     term: object
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, eq=False)
+class Not(_Run):
     arg: object
 
 @dataclass(frozen=True)
 class And:
-    lhs: object
-    rhs: object
+    args: tuple
 
 @dataclass(frozen=True)
 class Or:
-    lhs: object
-    rhs: object
+    args: tuple
 
 @dataclass(frozen=True)
 class Implies:
@@ -118,37 +137,57 @@ class DefinableSet:
         return dict(self.blocks)
 
 
+_CHILDREN = {
+    Var: lambda n: (), Const: lambda n: (), Pow: lambda n: (n.base,), Eq0: lambda n: (n.term,),
+    Add: lambda n: n.args, Mul: lambda n: n.args, And: lambda n: n.args, Or: lambda n: n.args,
+    Neg: lambda n: (n.arg,), Not: lambda n: (n.arg,), Implies: lambda n: (n.lhs, n.rhs),
+    Exists: lambda n: (n.body,), Forall: lambda n: (n.body,),
+}
+
+
+def children(node) -> tuple:
+    """The subterms and subformulas directly below node."""
+    if type(node) not in _CHILDREN:
+        raise TypeError(f"not a formula node: {node!r}")
+    return _CHILDREN[type(node)](node)
+
+
+def unwrap(node):
+    """(k, inner): node is a run of k Neg, or of k Not, around inner (k = 0 for other nodes)."""
+    cls, k = type(node), 0
+    while isinstance(node, _Run) and type(node) is cls:
+        node, k = node.arg, k + 1
+    return k, node
+
+
 def free_vars(phi) -> list:
     """Free variables in order of first occurrence."""
-    out = []
+    out = {}
 
     def walk(node, bound):
-        if isinstance(node, (Var,)):
-            if node.name not in bound and node.name not in out:
-                out.append(node.name)
-        elif isinstance(node, Const):
-            pass
-        elif isinstance(node, (Add, Mul)):
-            for a in node.args:
-                walk(a, bound)
-        elif isinstance(node, Neg):
-            walk(node.arg, bound)
-        elif isinstance(node, Pow):
-            walk(node.base, bound)
-        elif isinstance(node, Eq0):
-            walk(node.term, bound)
-        elif isinstance(node, Not):
-            walk(node.arg, bound)
-        elif isinstance(node, (And, Or, Implies)):
-            walk(node.lhs, bound)
-            walk(node.rhs, bound)
+        node = unwrap(node)[1]
+        if isinstance(node, Var):
+            if node.name not in bound:
+                out.setdefault(node.name)
         elif isinstance(node, (Exists, Forall)):
             walk(node.body, bound | {node.var})
         else:
-            raise TypeError(f"not a formula node: {node!r}")
+            for c in children(node):
+                walk(c, bound)
 
     walk(phi, frozenset())
-    return out
+    return list(out)
+
+
+def _height(phi) -> int:
+    """Levels of phi's tree, a run of ~ or of unary - counting as one."""
+    best, stack = 0, [(phi, 1)]
+    while stack:
+        node, h = stack.pop()
+        best = max(best, h)
+        for c in children(node):  # a run of Neg or of Not is one level
+            stack.append((c, h if type(c) is type(node) and isinstance(c, _Run) else h + 1))
+    return best
 
 
 # -- tokenizer -------------------------------------------------------------------
@@ -166,35 +205,37 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(text):
-    tokens = []  # (kind, value, line, col)
-    line, col = 1, 1
-    pos = 0
+    """(kind, value, line, column) of each token, then an eof token."""
+    tokens, pos, line, bol = [], 0, 1, 0  # bol: where the current line begins
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        val = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(val)
-        else:
-            tokens.append((kind, val, line, col))
-            col += len(val)
+            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - bol + 1)
+        if m.lastgroup == "nl":
+            line, bol = line + 1, m.end()
+        elif m.lastgroup not in ("ws", "comment"):
+            tokens.append((m.lastgroup, m.group(), line, pos - bol + 1))
         pos = m.end()
-    tokens.append(("eof", "", line, col))
+    tokens.append(("eof", "", line, pos - bol + 1))
     return tokens
 
 
 _KEYWORDS = {"set", "blocks", "exists", "forall"}
+
+MAX_DEPTH = 200  # parser nesting and tree height: at < 4 frames a level, walkers stay < 1000
+
+_TERMS = (Var, Const, Add, Mul, Neg, Pow)
+# binding power of each infix operator; "=" and tighter ones take terms
+_INFIX = {"->": 1, "\\/": 2, "/\\": 3, "=": 4, "!=": 4, "+": 5, "-": 5, "*": 6}
+_ATOM = 4
+_NARY = {2: Or, 3: And, 5: Add, 6: Mul}
 
 
 class _Parser:
     def __init__(self, text):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.quantified = set()
         self.declared = set()
 
@@ -202,63 +243,60 @@ class _Parser:
         return self.toks[self.pos]
 
     def next(self):
-        t = self.toks[self.pos]
         self.pos += 1
-        return t
+        return self.toks[self.pos - 1]
+
+    def accept(self, value):
+        """Consume the next token if its value is value."""
+        found = self.peek()[1] == value
+        self.pos += found
+        return found
+
+    def fail(self, wanted, tok=None):
+        kind, val, line, col = tok or self.peek()
+        raise ParseError(f"expected {wanted}, found {val or 'end of input'!r}", line, col)
 
     def expect(self, value):
-        kind, val, line, col = self.peek()
-        if val != value or kind == "eof":
-            raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}", line, col)
-        return self.next()
+        if not self.accept(value):
+            self.fail(repr(value))
 
     def name(self, what="name"):
-        kind, val, line, col = self.peek()
-        if kind != "name" or val in _KEYWORDS:
-            raise ParseError(f"expected {what}, found {val or 'end of input'!r}", line, col)
-        self.next()
-        return val
+        tok = self.next()
+        if tok[0] != "name" or tok[1] in _KEYWORDS:
+            self.fail(what, tok)
+        return tok[1]
+
+    def variables(self):
+        """A parenthesised, comma-separated list of variable names."""
+        self.expect("(")
+        out = [self.name("variable")]
+        while self.accept(","):
+            out.append(self.name("variable"))
+        self.expect(")")
+        return out
 
     # -- set file ------------------------------------------------------------
 
     def parse_set(self):
         self.expect("set")
         name = self.name("set name")
-        self.expect("(")
-        fv = [self.name("variable")]
-        while self.peek()[1] == ",":
-            self.next()
-            fv.append(self.name("variable"))
-        self.expect(")")
+        fv = self.variables()
         if len(set(fv)) != len(fv):
             dup = next(v for i, v in enumerate(fv) if v in fv[:i])
             raise ParseError(f"duplicate variable {dup!r} in declaration")
         self.declared = set(fv)
-        blocks = None
-        if self.peek()[1] == "blocks":
-            self.next()
-            blocks = {}
-            while True:
-                bname = self.name("block label")
-                self.expect("=")
-                self.expect("(")
-                bvars = [self.name("variable")]
-                while self.peek()[1] == ",":
-                    self.next()
-                    bvars.append(self.name("variable"))
-                self.expect(")")
-                if bname in blocks:
-                    raise ParseError(f"duplicate block {bname!r}")
-                blocks[bname] = tuple(bvars)
-                if self.peek()[1] == ";":
-                    self.next()
-                    continue
+        blocks = {} if self.accept("blocks") else None
+        while blocks is not None:  # one or more "B=(..)", separated by ";"
+            bname = self.name("block label")
+            self.expect("=")
+            bvars = tuple(self.variables())
+            if bname in blocks:
+                raise ParseError(f"duplicate block {bname!r}")
+            blocks[bname] = bvars
+            if not self.accept(";"):
                 break
         self.expect(":=")
-        phi = self.formula()
-        kind, val, line, col = self.peek()
-        if kind != "eof":
-            raise ParseError(f"unexpected {val!r} after formula", line, col)
+        phi = self.whole_formula()
 
         fvs = free_vars(phi)
         extra = [v for v in fvs if v not in self.declared]
@@ -266,144 +304,103 @@ class _Parser:
             raise ParseError(f"unbound variable {extra[0]!r} (not in declaration)")
         missing = [v for v in fv if v not in set(fvs)]
         if missing:
-            raise ParseError(
-                f"declared variable {missing[0]!r} does not occur free in the formula"
-            )
+            raise ParseError(f"declared variable {missing[0]!r} does not occur free in the formula")
         if blocks is not None:
             flat = [v for bs in blocks.values() for v in bs]
             if sorted(flat) != sorted(fv):
                 raise ParseError("blocks must partition the declared variables")
         return DefinableSet(name, tuple(fv), phi, blocks)
 
-    # -- formulas ----------------------------------------------------------------
+    # -- expressions ---------------------------------------------------------
 
-    def formula(self):
-        lhs = self.quantified_level()
-        if self.peek()[1] == "->":
-            self.next()
-            return Implies(lhs, self.formula())
-        return lhs
-
-    def quantified_level(self):
+    def whole_formula(self):
+        phi = self.operand(1)
         kind, val, line, col = self.peek()
-        if val in ("exists", "forall"):
-            self.next()
-            var = self.name("quantified variable")
-            if var in self.quantified:
-                raise ParseError(f"quantifier variable {var!r} reused (shadowing rejected)", line, col)
-            if var in self.declared:
-                raise ParseError(f"quantifier shadows declared variable {var!r}", line, col)
-            self.quantified.add(var)
-            self.expect(".")
-            body = self.formula()
-            return (Exists if val == "exists" else Forall)(var, body)
-        return self.disj()
+        if kind != "eof":
+            raise ParseError(f"unexpected {val!r} after formula", line, col)
+        if _height(phi) > MAX_DEPTH:
+            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels")
+        return phi
 
-    def disj(self):
-        out = self.conj()
-        while self.peek()[1] == "\\/":
-            self.next()
-            out = Or(out, self.conj())
-        return out
+    def operand(self, bp):
+        """expr(bp), which is a term where bp binds tighter than "=", else a formula."""
+        tok = self.peek()
+        node = self.expr(bp)
+        term = bp > _ATOM
+        if isinstance(node, _TERMS) != term:
+            self.fail("a term" if term else "'=' or '!='", tok if term else None)
+        return node
 
-    def conj(self):
-        out = self.lit()
-        while self.peek()[1] == "/\\":
-            self.next()
-            out = And(out, self.lit())
-        return out
-
-    def lit(self):
-        kind, val, _, _ = self.peek()
-        if val == "~":
-            self.next()
-            return Not(self.lit())
-        if val in ("exists", "forall"):
-            return self.quantified_level()
-        if val == "(":
-            # could open a formula or a parenthesized term; backtrack on failure
-            save = self.pos
-            saved_q = set(self.quantified)
-            self.next()
-            try:
-                inner = self.formula()
-                self.expect(")")
-                return inner
-            except ParseError:
-                self.pos = save
-                self.quantified = saved_q
-        return self.atom()
-
-    def atom(self):
-        lhs = self.term()
-        kind, val, line, col = self.peek()
-        if val == "=":
-            self.next()
-            rhs = self.term()
-            return Eq0(_diff(lhs, rhs))
-        if val == "!=":
-            self.next()
-            rhs = self.term()
-            return Not(Eq0(_diff(lhs, rhs)))
-        raise ParseError(f"expected '=' or '!=', found {val or 'end of input'!r}", line, col)
-
-    # -- terms --------------------------------------------------------------------
-
-    def term(self):
-        args = [self.product()]
+    def expr(self, bp):
+        """The longest term or formula whose operators bind at least as tightly as bp."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", *self.peek()[2:])
+        left = self.prefix(bp)
         while True:
-            val = self.peek()[1]
-            if val == "+":
-                self.next()
-                args.append(self.product())
-            elif val == "-":
-                self.next()
-                args.append(Neg(self.product()))
-            else:
+            op = self.peek()[1]
+            op_bp = _INFIX.get(op)
+            # a looser operator, or one taking the other kind of operand, ends left
+            if op_bp is None or op_bp < bp or isinstance(left, _TERMS) != (op_bp >= _ATOM):
                 break
-        return args[0] if len(args) == 1 else Add(tuple(args))
-
-    def product(self):
-        args = [self.unary()]
-        while self.peek()[1] == "*":
             self.next()
-            args.append(self.unary())
-        return args[0] if len(args) == 1 else Mul(tuple(args))
+            if op == "->":
+                left = Implies(left, self.operand(1))
+            elif op_bp == _ATOM:
+                left = Eq0(_diff(left, self.operand(_ATOM + 1)))
+                left = Not(left) if op == "!=" else left
+            else:
+                args = [left]
+                while op:  # the chain's operators all share op_bp
+                    arg = self.operand(op_bp + 1)
+                    args.append(Neg(arg) if op == "-" else arg)
+                    op = self.next()[1] if _INFIX.get(self.peek()[1]) == op_bp else None
+                left = _NARY[op_bp](tuple(args))
+        self.depth -= 1
+        return left
 
-    def unary(self):
-        if self.peek()[1] == "-":
-            self.next()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self):
-        base = self.primary()
-        if self.peek()[1] == "^":
-            self.next()
-            kind, val, line, col = self.peek()
+    def prefix(self, bp):
+        """A run of prefix operators, read in a loop, and the operand they apply to."""
+        if bp <= _ATOM and self.peek()[1] in ("~", "exists", "forall"):
+            nots = 0
+            while self.accept("~"):
+                nots += 1
+            phi = self.quantifier() if self.peek()[1] in ("exists", "forall") else self.operand(_ATOM)
+            return rewrap(Not, nots, phi)
+        negs = 0
+        while self.accept("-"):
+            negs += 1
+        tok = kind, val, line, col = self.next()
+        if val == "(":
+            base = self.expr(1)
+            self.expect(")")
+        elif kind == "num":
+            base = Const(int(val))
+        elif kind == "name" and val not in _KEYWORDS:
+            base = Var(val)
+        else:
+            self.fail("a term", tok)
+        if isinstance(base, _TERMS) and self.accept("^"):
+            kind, exp, line, col = self.next()
             if kind != "num":
                 raise ParseError("exponent must be a natural number literal", line, col)
-            self.next()
-            n = int(val)
-            if n < 1:
+            if int(exp) < 1:
                 raise ParseError("exponent must be >= 1", line, col)
-            return Pow(base, n)
-        return base
+            base = Pow(base, int(exp))
+        if negs and not isinstance(base, _TERMS):
+            self.fail("a term", tok)
+        return rewrap(Neg, negs, base)
 
-    def primary(self):
-        kind, val, line, col = self.peek()
-        if kind == "num":
-            self.next()
-            return Const(int(val))
-        if kind == "name" and val not in _KEYWORDS:
-            self.next()
-            return Var(val)
-        if val == "(":
-            self.next()
-            t = self.term()
-            self.expect(")")
-            return t
-        raise ParseError(f"expected a term, found {val or 'end of input'!r}", line, col)
+    def quantifier(self):
+        kind, val, line, col = self.next()
+        var = self.name("quantified variable")
+        if var in self.quantified:
+            raise ParseError(f"quantifier variable {var!r} reused (shadowing rejected)", line, col)
+        if var in self.declared:
+            raise ParseError(f"quantifier shadows declared variable {var!r}", line, col)
+        self.quantified.add(var)
+        self.expect(".")
+        return (Exists if val == "exists" else Forall)(var, self.operand(1))
 
 
 def _diff(lhs, rhs):
@@ -422,12 +419,7 @@ def parse_set(text: str) -> DefinableSet:
 
 def parse_formula(text: str):
     """Parse a bare formula (no 'set' header)."""
-    p = _Parser(text)
-    phi = p.formula()
-    kind, val, line, col = p.peek()
-    if kind != "eof":
-        raise ParseError(f"unexpected {val!r} after formula", line, col)
-    return phi
+    return _Parser(text).whole_formula()
 
 
 # -- pretty printing ------------------------------------------------------------
@@ -451,7 +443,8 @@ def _term_str(t, prec=0):
         s = "*".join(_term_str(a, 3) for a in t.args)
         return f"({s})" if prec > 2 else s
     if isinstance(t, Neg):
-        s = "-" + _term_str(t.arg, 3)
+        k, inner = unwrap(t)
+        s = "-" * k + _term_str(inner, 3)
         return f"({s})" if prec > 3 else s
     if isinstance(t, Pow):
         s = f"{_term_str(t.base, 5)}^{t.exp}"
@@ -468,16 +461,15 @@ def _formula_str(phi, prec=0):
         q = "exists" if isinstance(phi, Exists) else "forall"
         s = f"{q} {phi.var}. {_formula_str(phi.body, 1)}"
         return f"({s})" if prec > 1 else s
-    if isinstance(phi, Or):
-        s = f"{_formula_str(phi.lhs, 2)} \\/ {_formula_str(phi.rhs, 3)}"
-        return f"({s})" if prec > 2 else s
-    if isinstance(phi, And):
-        s = f"{_formula_str(phi.lhs, 3)} /\\ {_formula_str(phi.rhs, 4)}"
-        return f"({s})" if prec > 3 else s
+    if isinstance(phi, (Or, And)):
+        level, op = (2, " \\/ ") if isinstance(phi, Or) else (3, " /\\ ")
+        s = op.join(_formula_str(a, level + 1) for a in phi.args)
+        return f"({s})" if prec > level else s
     if isinstance(phi, Not):
-        if isinstance(phi.arg, Eq0):
-            return f"{_term_str(phi.arg.term, 1)} != 0"
-        return f"~{_formula_str(phi.arg, 4)}"
+        k, inner = unwrap(phi)
+        if isinstance(inner, Eq0):
+            return "~" * (k - 1) + f"{_term_str(inner.term, 1)} != 0"
+        return "~" * k + _formula_str(inner, 4)
     if isinstance(phi, Eq0):
         return f"{_term_str(phi.term, 1)} = 0"
     raise TypeError(f"not a formula: {phi!r}")
@@ -506,18 +498,16 @@ def eval_term(t, env: dict, spec: FieldSpec) -> int:
     if isinstance(t, Const):
         # Z -> GF(p^e) lands in the prime subfield; index of a constant is c mod p
         return t.value % spec.p
-    if isinstance(t, Add):
+    if isinstance(t, (Add, Mul)):
+        op = spec.add if isinstance(t, Add) else spec.mul
         out = eval_term(t.args[0], env, spec)
         for a in t.args[1:]:
-            out = spec.add(out, eval_term(a, env, spec))
-        return out
-    if isinstance(t, Mul):
-        out = eval_term(t.args[0], env, spec)
-        for a in t.args[1:]:
-            out = spec.mul(out, eval_term(a, env, spec))
+            out = op(out, eval_term(a, env, spec))
         return out
     if isinstance(t, Neg):
-        return spec.neg(eval_term(t.arg, env, spec))
+        k, inner = unwrap(t)
+        value = eval_term(inner, env, spec)
+        return spec.neg(value) if k % 2 else value
     if isinstance(t, Pow):
         return spec.pow(eval_term(t.base, env, spec), t.exp)
     raise TypeError(f"not a term: {t!r}")
@@ -537,11 +527,10 @@ def eval_formula(phi, assignment: dict, spec: FieldSpec) -> bool:
         if isinstance(node, Eq0):
             return eval_term(node.term, env, spec) == 0
         if isinstance(node, Not):
-            return not rec(node.arg)
-        if isinstance(node, And):
-            return rec(node.lhs) and rec(node.rhs)
-        if isinstance(node, Or):
-            return rec(node.lhs) or rec(node.rhs)
+            k, inner = unwrap(node)
+            return rec(inner) != bool(k % 2)
+        if isinstance(node, (And, Or)):
+            return (all if isinstance(node, And) else any)(rec(a) for a in node.args)
         if isinstance(node, Implies):
             return (not rec(node.lhs)) or rec(node.rhs)
         if isinstance(node, (Exists, Forall)):

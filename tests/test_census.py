@@ -240,6 +240,11 @@ def test_detect_period_examples(hyp_set, sqrt_set, cubic_proj_set):
     rep3 = detect_period(tower_census(cubic_proj_set, 7, 2), 2)
     assert rep3.modulus == 1
     assert rep3.classes[0].mu == Fraction(2, 3)
+    # count (2q^3 + q)/3 over 2^e: the (2, 4) and (4, 8) pairs read mu = 1,
+    # the tail reads 2/3, so the law comes from each class's last pairs
+    rep4 = detect_period(tower_census(cubic_proj_set, 2, 6), 6)
+    assert rep4.modulus == 1
+    assert (rep4.classes[0].d, rep4.classes[0].mu) == (3, Fraction(2, 3))
 
 
 def test_detect_period_undetected():

@@ -257,3 +257,55 @@ def test_parser_built_once_per_process(capsys, tmp_path, hyp_file):
     assert run(capsys, check) == (code, first)
     assert code == 0 and json.loads(first)["expr"] == "I(x:y)"
     assert build_parser.cache_info().misses == 1
+
+
+# -- long and deep formulas ------------------------------------------------------
+
+LONG_AND_DEEP = [
+    # (formula over x and y, points over GF(3))
+    (" /\\ ".join(["x != 1", "y = 0"] * 1000), 2),    # 2,000 conjuncts
+    (" \\/ ".join(["x = 1", "y = 2"] * 1000), 5),     # 2,000 disjuncts
+    (" /\\ ".join(["x != 1", "y = 0"] * 494), 2),     # 988 conjuncts
+    (" \\/ ".join(["x = 1", "y = 2"] * 167), 5),      # 334 disjuncts
+    ("~" * 376 + "x = 1 /\\ y = y", 3),
+    ("-" * 978 + "x = y", 3),
+    ("(" * 195 + "x = y" + ")" * 195, 3),
+    ("~" * 5000 + "-" * 5000 + "x*y = 1", 2),
+]
+
+
+@pytest.mark.parametrize("formula, count", LONG_AND_DEEP, ids=range(len(LONG_AND_DEEP)))
+def test_long_and_deep_formulas_count(capsys, tmp_path, formula, count):
+    f = tmp_path / "long.ring"
+    f.write_text(f"set L(x, y) := {formula}")
+    obj = run_json(capsys, ["count", str(f), "--p", "3"])
+    assert obj["rows"][0]["count"] == count
+    assert run_json(capsys, ["tower", str(f), "--p", "3", "--emax", "2"])["census"]
+
+
+@pytest.mark.parametrize("formula", [
+    "(" * 201 + "x = y" + ")" * 201,
+    "x = 0 -> " * 200 + "y = 0",
+    "~(x = 0 /\\ " * 100 + "y = 0" + ")" * 100,
+    "(" * 100 + "x" + ")^2*y + x" * 100 + " = 0",
+    "exists u. " + "(u = x \\/ " * 200 + "u = y" + ")" * 200,
+])
+def test_nesting_past_the_limit_exits_2(capsys, tmp_path, formula):
+    f = tmp_path / "deep.ring"
+    f.write_text(f"set D(x, y) := {formula}")
+    assert main(["count", str(f), "--p", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("defent: parse error:") and "nested deeper than" in err
+    assert "Traceback" not in err
+
+
+def test_more_variables_than_numpy_axes_exits_3(capsys, tmp_path):
+    f = tmp_path / "wide.ring"
+    quantifiers = "".join(f"exists u{i}. " for i in range(64))
+    f.write_text(f"set W(x) := {quantifiers}x = 0")
+    for command in ("count", "profile"):
+        assert main([command, str(f), "--p", "3"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("defent: ") and "65 variables" in err
+    f.write_text(f"set W(x) := {quantifiers[quantifiers.index('exists u1.'):]}x = 0")
+    assert run_json(capsys, ["count", str(f), "--p", "3"])["rows"][0]["count"] == 1

@@ -18,6 +18,7 @@ from defent import enumeration
 from defent import ringlang as rl
 from defent.census import collect_points
 from defent.enumeration import get_engine
+from conftest import KR_TEXT
 
 FUZZ_FIELDS = (field(2), field(3), field(2, 2), field(5), field(2, 3), field(3, 2))
 FUZZ_WORK = 4000  # q^(free variables + nested quantifiers) the oracle may walk
@@ -54,8 +55,10 @@ def fuzz_cases(draw):
             v = next(fresh)
             body = formula(scope + (v,), depth - 1, level + 1)
             return (rl.Exists if kind == "exists" else rl.Forall)(v, body)
-        cls = {"and": rl.And, "or": rl.Or, "implies": rl.Implies}[kind]
-        return cls(formula(scope, depth - 1, level), formula(scope, depth - 1, level))
+        if kind == "implies":
+            return rl.Implies(formula(scope, depth - 1, level), formula(scope, depth - 1, level))
+        args = tuple(formula(scope, depth - 1, level) for _ in range(draw(st.integers(2, 3))))
+        return (rl.And if kind == "and" else rl.Or)(args)
 
     free = ("x", "y", "z")[: draw(st.integers(1, 3))]
     phi = formula(free, 4, 0)
@@ -94,6 +97,7 @@ def test_printed_sets_reparse_to_the_same_points(case):
         return  # parse_set rejects declared variables that do not occur
     text = rl.set_str(dset)
     again = rl.parse_set(text)
+    assert again == dset
     assert rl.set_str(again) == text
     assert np.array_equal(collect_points(again, spec), collect_points(dset, spec))
 
@@ -107,7 +111,9 @@ def quantifiers(phi, level=0):
         return [(phi.var, level + 1)] + quantifiers(phi.body, level + 1)
     if isinstance(phi, rl.Not):
         return quantifiers(phi.arg, level)
-    if isinstance(phi, (rl.And, rl.Or, rl.Implies)):
+    if isinstance(phi, (rl.And, rl.Or)):
+        return [vl for a in phi.args for vl in quantifiers(a, level)]
+    if isinstance(phi, rl.Implies):
         return quantifiers(phi.lhs, level) + quantifiers(phi.rhs, level)
     return []
 
@@ -135,7 +141,7 @@ def defined_cases(draw):
     )
     t = rl.Add(tuple(draw(st.lists(atom, min_size=1, max_size=3))))
     rhs = t if draw(st.booleans()) else rl.Neg(t)  # v = -t or v = t
-    phi = rl.And(rl.Eq0(rl.Add((rl.Var(v), rhs))), dset.formula)
+    phi = rl.And((rl.Eq0(rl.Add((rl.Var(v), rhs))), dset.formula))
     new = [w for w in [v, *rl.free_vars(t)] if w not in dset.free_vars]
     free = tuple(dict.fromkeys(new)) + dset.free_vars
     nest = max((level for _, level in quants), default=0)
@@ -161,6 +167,17 @@ def test_kr_plans_to_six_variables(kr_set):
     assert set(reduced.free_vars) | {v for v, _ in defs} == set(kr_set.free_vars)
     for _, t in defs:
         assert set(rl.free_vars(t)) <= set(reduced.free_vars)
+
+
+def test_kr_plans_to_six_variables_through_groups():
+    # the plan flattens nested And groups when it collects conjuncts
+    text = KR_TEXT.replace(":= a2", ":= (a2").replace("d0\n  /\\ b2", "d0)\n  /\\ (b2")
+    text = text.replace("d0\n  /\\ a1", "d0)\n  /\\ a1")
+    dset = rl.parse_set(text)
+    assert [type(c) for c in dset.formula.args[:2]] == [rl.And, rl.And]
+    reduced, defs = enumeration._plan(dset)
+    assert len(reduced.free_vars) == 6 and len(defs) == 3
+    assert (reduced, defs) == enumeration._plan(rl.parse_set(KR_TEXT))
 
 
 @pytest.mark.parametrize("spec", [field(2), field(5), field(3, 2)], ids=repr)
@@ -191,7 +208,7 @@ V, Y = rl.Var("v"), rl.Var("y")
 ])
 def test_definitions_do_not_capture(body, count):
     # v = y /\ exists y. body, with y both free and quantified
-    dset = rl.DefinableSet("K", ("v", "y"), rl.And(rl.Eq0(rl.Add((V, rl.Neg(Y)))), rl.Exists("y", body)))
+    dset = rl.DefinableSet("K", ("v", "y"), rl.And((rl.Eq0(rl.Add((V, rl.Neg(Y)))), rl.Exists("y", body))))
     assert enumeration._plan(dset)[0].free_vars == ("v",)
     spec = field(3)
     want = oracle_points(dset, spec)
@@ -202,7 +219,7 @@ def test_definitions_do_not_capture(body, count):
 
 def test_oracle_restores_a_shadowed_free_variable():
     # (exists y. y = 0) /\ y = 1: the quantifier's y ends, the free y = 1 is read again
-    phi = rl.And(rl.Exists("y", rl.Eq0(Y)), rl.Eq0(rl.Add((Y, rl.Const(-1)))))
+    phi = rl.And((rl.Exists("y", rl.Eq0(Y)), rl.Eq0(rl.Add((Y, rl.Const(-1))))))
     dset = rl.DefinableSet("S", ("y",), phi)
     spec = field(3)
     assert [y for y in spec.elements() if eval_formula(phi, {"y": y}, spec)] == [1]

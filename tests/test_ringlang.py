@@ -1,18 +1,23 @@
 import itertools
+import pickle
 
 import pytest
 
 from defent import DomainError, ParseError, eval_formula, field, free_vars, parse_set
 from defent.ringlang import (
+    MAX_DEPTH,
     Add,
     And,
     Const,
     Eq0,
     Exists,
     Forall,
+    Implies,
     Mul,
     Neg,
     Not,
+    Or,
+    Pow,
     Var,
     formula_str,
     parse_formula,
@@ -42,7 +47,7 @@ def test_parse_kr(kr_set):
 
     def gather(phi):
         if isinstance(phi, And):
-            return gather(phi.lhs) + gather(phi.rhs)
+            return [c for a in phi.args for c in gather(a)]
         return [phi]
 
     lits = gather(d.formula)
@@ -177,3 +182,55 @@ def test_formula_str_examples():
     assert formula_str(parse_formula("x != 3")) == "x - 3 != 0"
     s = formula_str(parse_formula("exists x. x^2 + y^2 = 0"))
     assert s == "exists x. x^2 + y^2 = 0"
+
+
+X, Y, A, B, C = Var("x"), Var("y"), Eq0(Var("a")), Eq0(Var("b")), Eq0(Var("c"))
+
+
+@pytest.mark.parametrize("text, ast", [
+    ("(x + 1)*(x - 1) = 0", Eq0(Mul((Add((X, Const(1))), Add((X, Neg(Const(1)))))))),
+    ("(x = 0) /\\ y = 0", And((Eq0(X), Eq0(Y)))),
+    ("~x = 0 /\\ y = 0", And((Not(Eq0(X)), Eq0(Y)))),  # ~ takes the atom only
+    ("exists u. a = 0 /\\ b = 0", Exists("u", And((A, B)))),  # the body runs to the end
+    ("a = 0 -> b = 0 -> c = 0", Implies(A, Implies(B, C))),
+    ("-x^2*y = 0", Eq0(Mul((Neg(Pow(X, 2)), Y)))),
+    ("a - b - c = 0", Eq0(Add((Var("a"), Neg(Var("b")), Neg(Var("c")))))),
+    ("a = 0 /\\ b = 0 /\\ c = 0", And((A, B, C))),
+    ("(a = 0 /\\ b = 0) /\\ c = 0", And((And((A, B)), C))),  # a group keeps its node
+    ("a = 0 \\/ b = 0 /\\ c = 0 \\/ a = 0", Or((A, And((B, C)), A))),
+    ("~~(x) = 0", Not(Not(Eq0(X)))),
+    ("--x = y", Eq0(Add((Neg(Neg(X)), Neg(Y))))),
+])
+def test_grammar_pins_the_ast(text, ast):
+    assert parse_formula(text) == ast
+    assert parse_formula(formula_str(ast)) == ast
+
+
+@pytest.mark.parametrize("text", [
+    "x = 0 = 0", "x^2^3 = 0", "(x = 0) + 1 = 0", "x + (y = 0) = 0", "-(x = 0)",
+    "x /\\ y = 0", "~x", "x = ~y", "(x = 0", "x = 0)", "x^0 = 0", "x^y = 0",
+    "exists x. exists x. x = 0", "x = 0 ->", "",
+])
+def test_malformed_formulas_are_parse_errors(text):
+    with pytest.raises(ParseError):
+        parse_formula(text)
+
+
+@pytest.mark.parametrize("n", [2000, 100_000])
+def test_long_chains_and_runs_parse_in_a_loop(n):
+    assert parse_formula(" /\\ ".join(["x = 0"] * n)) == And((Eq0(X),) * n)
+    assert len(parse_formula(" \\/ ".join(["x = 0"] * n)).args) == n
+    phi = parse_formula("~" * n + "-" * n + "x = 0")
+    assert phi == parse_formula(formula_str(phi))
+    assert pickle.loads(pickle.dumps(phi)) == phi and hash(phi) == hash(Not(phi.arg))
+    assert eval_formula(phi, {"x": 1}, field(3)) == (n % 2 == 1)
+
+
+@pytest.mark.parametrize("text", [
+    "(" * MAX_DEPTH + "x = 0" + ")" * MAX_DEPTH,          # parser recursion
+    "x = 0 -> " * MAX_DEPTH + "x = 0",                     # one Implies per arrow
+    "(" * MAX_DEPTH + "x" + ")^2*x" * MAX_DEPTH + " = 0",  # tree height, not parser depth
+])
+def test_nesting_past_the_limit_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="nested deeper than"):
+        parse_formula(text)
