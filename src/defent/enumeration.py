@@ -11,19 +11,22 @@ with the engine's own term evaluation, then restores the lexicographic
 order of the declared variables by one flat-key argsort (q^n < 2^63).
 
 Field elements stay element indices (gf's canonical encoding) end to end.
-Every variable owns one numpy axis: the free variables in declaration
-order, then each quantified variable.  A subterm is evaluated only over
-the axes of the variables it mentions and broadcasting combines the
-results, so a subterm free of a quantified variable is computed once per
-chunk, not once per value of it.  ``exists``/``forall`` reduce the body
-with ``any``/``all`` over the quantified variable's axis.
+Every variable walked on the grid owns one numpy axis: the free variables
+in declaration order, then each quantified variable that a quantifier
+materialises (not vacuous, not decided by match counting).  A subterm is
+evaluated only over the axes of the variables it mentions and broadcasting
+combines the results, so a subterm free of a quantified variable is
+computed once per chunk, not once per value of it.  ``exists``/``forall``
+reduce the body with ``any``/``all`` over the quantified variable's axis.
 
-Arithmetic on indices: prime fields use native ``% p``.  Extension fields
-add and negate digit-wise and multiply through O(q) log/exp tables built
-from the field's generator; when q x q ``ADD``/``MUL`` tables fit
-``_TABLE_BYTES`` they are derived from those and used instead, so the
-choice follows from q alone.  Tables are built per field on first use and
-kept for the ``_ENGINE_CACHE`` most recently used fields.
+Arithmetic on indices: prime fields use native ``% p`` and reduce each
+fresh result in place, so an operation holds one chunk-sized array, not
+two; no operation writes into its operands.  Extension fields add and
+negate digit-wise and multiply through O(q) log/exp tables built from the
+field's generator, in their final dtypes; when q x q ``ADD``/``MUL``
+tables fit ``_TABLE_BYTES`` they are derived from those and used instead,
+so the choice follows from q alone.  Tables are built per field on first
+use and kept for the ``_ENGINE_CACHE`` most recently used fields.
 
 A quantified atom that splits additively into an x-part and an x-free
 part is decided by match counting: the value multiset of the x-part is
@@ -35,10 +38,13 @@ on every input.
 The free grid is cut into chunks, contiguous flat-index ranges made of
 fixed leading axes, one sliced axis and full trailing axes, sized so that
 a chunk times the quantifier axes it materialises stays within
-``_CHUNK_ELEMS``; a quantifier axis too large for that is walked in
-blocks with an early exit once every row is decided.  Each chunk is a
-pure function of its range and partial results are merged in chunk
-order, so results are identical for any worker count.
+``_CHUNK_ELEMS`` = 2^19 elements; a quantifier axis too large for that is
+walked in blocks with an early exit once every row is decided.  The bound
+keeps an evaluation's working memory independent of the grid's size: an
+array over a chunk is at most 2 MiB at int32, the widest index dtype of
+prime fields below p = 46,341.  Each chunk is a pure function of its
+range and partial results are merged in chunk order, so results are
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -52,7 +58,8 @@ from .errors import BudgetError, DomainError
 from .gf import FieldSpec
 
 DEFAULT_MAX_EVALS = 10**9
-_CHUNK_ELEMS = 1 << 21
+# at most 2 MiB per chunk-sized array at int32, the widest prime-field dtype below p = 46,341
+_CHUNK_ELEMS = 1 << 19
 _TABLE_BYTES = 1 << 22  # int16 q x q ADD plus MUL: q <= 1024
 _ENGINE_CACHE = 8
 _MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32  # numpy's ndim limit
@@ -86,27 +93,35 @@ class _Engine:
         self._decide: dict = {}
         if self.e > 1:
             self._build_log_exp()
-            idx = np.arange(self.q, dtype=np.int64)
-            self.NEG = self._digitwise(lambda d: -d, idx).astype(self.dtype)
+            self.NEG = self._digitwise(lambda d: -d, np.arange(self.q, dtype=self.dtype))
 
     @functools.cached_property
     def ADD(self):
-        idx = np.arange(self.q, dtype=np.int64)
-        add = self._digitwise(lambda d, f: d + f, idx[:, None], idx[None, :])
-        return add.astype(self.dtype)
+        idx = np.arange(self.q, dtype=self.dtype)
+        return self._digitwise(lambda d, f: d + f, idx[:, None], idx[None, :])
 
     @functools.cached_property
     def MUL(self):
-        idx = np.arange(self.q, dtype=np.int64)
-        return self._log_mul(idx[:, None], idx[None, :]).astype(self.dtype)
+        idx = np.arange(self.q, dtype=self.dtype)
+        return self._log_mul(idx[:, None], idx[None, :])
 
     def _digitwise(self, op, *args):
-        """Apply op to the base-p digits of index arrays, digit by digit, mod p."""
+        """Apply op to the base-p digits of index arrays, digit by digit, mod p.
+
+        Each digit's fresh result is reduced, scaled and summed in place; a
+        0-d operand gives numpy scalars, which the in-place operators rebind.
+        """
         p = self.p
-        out = 0
+        out = None
         place = 1
         for _ in range(self.e):
-            out = out + op(*(a // place for a in args)) % p * place
+            d = op(*(a // place for a in args))
+            d %= p
+            d *= place
+            if out is None:
+                out = d
+            else:
+                out += d
             place *= p
         return out
 
@@ -120,31 +135,36 @@ class _Engine:
         no mask for zero factors.
         """
         p, e, q = self.p, self.e, self.q
-        comp = np.zeros((e, e), dtype=np.int64)
+        dt = _index_dtype(e * (p - 1) ** 2)  # a digit row times a matrix, before % p
+        comp = np.zeros((e, e), dtype=dt)
         comp[np.arange(e - 1), np.arange(1, e)] = 1
         comp[e - 1] = [(-c) % p for c in self.spec.modulus[:e]]
-        step = np.zeros((e, e), dtype=np.int64)
-        power = np.eye(e, dtype=np.int64)
+        step = np.zeros((e, e), dtype=dt)
+        power = np.eye(e, dtype=dt)
         for gi in self.spec.digits(self.spec.generator()):
             step = (step + gi * power) % p
             power = power @ comp % p
-        digits = np.zeros((q - 1, e), dtype=np.int64)
+        digits = np.zeros((q - 1, e), dtype=dt)
         digits[0, 0] = 1
         m = 1
         while m < q - 1:
             k = min(m, q - 1 - m)
-            digits[m : m + k] = digits[:k] @ step % p
+            block = np.matmul(digits[:k], step, out=digits[m : m + k])
+            block %= p
             step = step @ step % p
             m += k
-        exp = digits @ p ** np.arange(e, dtype=np.int64)
-        log = np.full(q, -1, dtype=np.int64)
-        log[exp] = np.arange(q - 1)
-        if (log[1:] < 0).any():
+        self.EXP = np.zeros(4 * q - 5, dtype=self.dtype)
+        exp = self.EXP[: q - 1]
+        for i in range(e - 1, -1, -1):  # Horner over the digit columns
+            exp *= p
+            exp += digits[:, i]
+        del digits
+        self.EXP[q - 1 : 2 * q - 3] = exp[: q - 2]
+        self.LOG = np.full(q, -1, dtype=_index_dtype(4 * q))
+        self.LOG[exp] = np.arange(q - 1, dtype=self.LOG.dtype)
+        if (self.LOG[1:] < 0).any():
             raise RuntimeError(f"{self.spec!r}: generator does not span the group")
-        log[0] = 2 * q - 3
-        self.LOG = log.astype(_index_dtype(4 * q))
-        tail = np.zeros(2 * q - 2, dtype=np.int64)
-        self.EXP = np.concatenate([exp, exp[: q - 2], tail]).astype(self.dtype)
+        self.LOG[0] = 2 * q - 3
 
     def _log_mul(self, a, b):
         return self.EXP[self.LOG[a] + self.LOG[b]]
@@ -154,26 +174,37 @@ class _Engine:
     def const(self, value: int):
         return np.asarray(value % self.p, dtype=self.dtype)
 
+    # Prime fields reduce each fresh result in place, never an operand: on
+    # numpy scalars (0-d operands) ``%=`` rebinds instead of writing.
+
     def add(self, a, b):
         if self.e == 1:
-            return (a + b) % self.p
+            r = a + b
+            r %= self.p
+            return r
         if self.tables:
             return self.ADD[a, b]
-        return self._digitwise(lambda d, f: d + f, a, b).astype(self.dtype)
+        return self._digitwise(lambda d, f: d + f, a, b)
 
     def sub(self, a, b):
         if self.e == 1:
-            return (a - b) % self.p
+            r = a - b
+            r %= self.p
+            return r
         return self.add(a, self.NEG[b])
 
     def neg(self, a):
         if self.e == 1:
-            return (-a) % self.p
+            r = -a
+            r %= self.p
+            return r
         return self.NEG[a]
 
     def mul(self, a, b):
         if self.e == 1:
-            return a * b % self.p
+            r = a * b
+            r %= self.p
+            return r
         if self.tables:
             return self.MUL[a, b]
         return self._log_mul(a, b)
@@ -291,6 +322,15 @@ def _additive_split(node):
     return (tuple(xonly), tuple(xfree), negated) if xonly else None
 
 
+def _materialises(node) -> bool:
+    """Whether evaluating the quantifier node walks its variable on a numpy axis.
+
+    A vacuous quantifier evaluates its body alone, and one with an additive
+    split is decided by match counting; neither needs an axis.
+    """
+    return node.var in rl.free_vars(node.body) and _additive_split(node) is None
+
+
 @functools.lru_cache(maxsize=1024)
 def _depth(phi) -> int:
     """Nesting depth of the quantifier axes evaluating phi materialises."""
@@ -298,29 +338,28 @@ def _depth(phi) -> int:
     if isinstance(phi, rl.Eq0):
         return 0
     if isinstance(phi, (rl.Exists, rl.Forall)):
-        if phi.var not in rl.free_vars(phi.body) or _additive_split(phi):
-            return _depth(phi.body)
-        return 1 + _depth(phi.body)
+        return _materialises(phi) + _depth(phi.body)
     return max(map(_depth, rl.children(phi)))
 
 
-def _bound_names(phi) -> list:
-    """Quantified variable names of phi in order of first occurrence."""
-    out, stack = {}, [phi]
+def _quantifiers(phi):
+    """The quantifier nodes of phi, in order of occurrence."""
+    stack = [phi]
     while stack:
         node = stack.pop()
         if isinstance(node, (rl.Exists, rl.Forall)):
-            out.setdefault(node.var)
+            yield node
         if not isinstance(node, rl.Eq0):  # terms bind nothing
             stack.extend(reversed(rl.children(node)))
-    return list(out)
 
 
 def _axis_names(dset) -> list:
-    """The variable of each numpy axis: the free ones in order, then the quantified ones."""
-    names = list(dict.fromkeys(dset.free_vars + tuple(_bound_names(dset.formula))))
+    """The variable of each numpy axis: the free ones in order, then each
+    quantified one that some quantifier of it materialises."""
+    bound = (node.var for node in _quantifiers(dset.formula) if _materialises(node))
+    names = list(dict.fromkeys(dset.free_vars + tuple(bound)))
     if len(names) > _MAX_AXES:
-        raise DomainError(f"{dset.name} has {len(names)} variables, one numpy axis each; "
+        raise DomainError(f"{dset.name} has {len(names)} variables that need a numpy axis each; "
                           f"enumeration handles at most {_MAX_AXES}")
     return names
 
@@ -457,7 +496,7 @@ def _plan(dset):
     bijection with dset's, so counts agree by construction.
     """
     free = list(dset.free_vars)
-    bound = set(_bound_names(dset.formula))
+    bound = {node.var for node in _quantifiers(dset.formula)}
     conj = _conjuncts(dset.formula)
     defs = []
     found = True

@@ -18,7 +18,7 @@ of + and -, or of * is one n-ary node ("a - b" adds Neg(b)); "=", "!=" and
 "^" do not chain.  A group "( )" is a term or a formula, as the operator
 around it requires, and keeps its own node.  Input nested deeper than
 MAX_DEPTH levels is rejected; a run of ~ or of unary - is one level, as the
-walkers here, hashing, comparison and pickling all loop over such runs.
+walkers here, hashing, comparison, repr and pickling all loop over such runs.
 
 "s = t" is sugar for "s - t = 0" and "s != t" for its negation; "->" is
 the Implies node.  "#" starts a comment until end of line.  Quantified
@@ -47,7 +47,11 @@ class ParseError(ValueError):
 
 class _Run:
     """Neg and Not nest in runs of any length ("---x", "~~~x = 0"); hashing,
-    comparing and pickling walk a run in a loop, not a Python frame per node."""
+    comparing, pickling and repr walk a run in a loop, not a Python frame per node."""
+
+    def __repr__(self):
+        k, inner = unwrap(self)
+        return f"{type(self).__qualname__}(arg=" * k + repr(inner) + ")" * k
 
     def __hash__(self):
         return hash((type(self), *unwrap(self)))
@@ -82,7 +86,7 @@ class Add:
 class Mul:
     args: tuple
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Neg(_Run):
     arg: object
 
@@ -96,7 +100,7 @@ class Pow:
 class Eq0:
     term: object
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(_Run):
     arg: object
 

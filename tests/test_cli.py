@@ -302,10 +302,11 @@ def test_nesting_past_the_limit_exits_2(capsys, tmp_path, formula):
 def test_more_variables_than_numpy_axes_exits_3(capsys, tmp_path):
     f = tmp_path / "wide.ring"
     quantifiers = "".join(f"exists u{i}. " for i in range(64))
-    f.write_text(f"set W(x) := {quantifiers}x = 0")
+    product = "*".join(f"u{i}" for i in range(64))
+    f.write_text(f"set W(x) := {quantifiers}{product} = x")  # every quantifier materialises
     for command in ("count", "profile"):
         assert main([command, str(f), "--p", "3"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("defent: ") and "65 variables" in err
-    f.write_text(f"set W(x) := {quantifiers[quantifiers.index('exists u1.'):]}x = 0")
+    f.write_text(f"set W(x) := {quantifiers}x = 0")  # vacuous quantifiers need no axis
     assert run_json(capsys, ["count", str(f), "--p", "3"])["rows"][0]["count"] == 1

@@ -6,6 +6,7 @@ with the vectorised engine.
 """
 
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -308,3 +309,64 @@ def test_engine_cache_is_bounded():
     assert get_engine(specs[oldest]) is engines[oldest]
     assert get_engine(specs[oldest + 1]) is not engines[oldest + 1]
 
+
+# -- working memory ------------------------------------------------------------
+
+MiB = 1 << 20
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced while fn() runs, above those traced when it starts."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_log_exp_tables_are_built_in_bounded_memory():
+    # what get_engine(field(7, 6)) builds, past its cache: 117,649 elements
+    assert traced_peak(lambda: enumeration._Engine(field(7, 6))) <= 8 * MiB
+
+
+@pytest.mark.parametrize("run", [count_points, collect_points], ids=["count", "collect"])
+def test_enumeration_peak_is_bounded_by_the_chunk(hyp_set, run):
+    # 2003^2 = 4,012,009 assignments: one int32 array over the grid would be 15.3 MiB
+    spec = field(2003)
+    get_engine(spec)  # built before tracing starts, as for any later set over GF(2003)
+    assert traced_peak(lambda: run(hyp_set, spec)) <= 4 * MiB
+
+
+OP_FIELDS = [field(7), field(7, 2), field(3, 7)]  # native % p, q x q tables, digit-wise
+
+
+@pytest.mark.parametrize("spec", OP_FIELDS, ids=repr)
+def test_engine_ops_never_write_into_their_operands(spec):
+    # results are reduced in place: every operand is read-only, so a write raises
+    eng, q = get_engine(spec), spec.q
+    assert eng.tables == (spec.e == 2)
+    col = enumeration._axis_range(0, min(q, 40), 0, 2, eng.dtype)       # env-style axes
+    row = enumeration._axis_range(q - min(q, 30), q, 1, 2, eng.dtype)
+    operands = [col, row, eng.const(3), eng.const(q - 1), eng.const(0)]  # 0-d constants
+    for a in operands:
+        a.setflags(write=False)
+    before = [a.copy() for a in operands]
+
+    def check(got, op, *args):
+        shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+        flat = [np.broadcast_to(a, shape).ravel().tolist() for a in args]
+        want = [op(*xs) for xs in zip(*flat)]
+        assert np.broadcast_to(got, shape).ravel().tolist() == want
+
+    for a in operands:
+        check(eng.neg(a), spec.neg, a)
+        for n in (1, 2, 5):
+            check(eng.pow(a, n), lambda x: spec.pow(x, n), a)
+        for b in operands:
+            check(eng.add(a, b), spec.add, a, b)
+            check(eng.sub(a, b), spec.sub, a, b)
+            check(eng.mul(a, b), spec.mul, a, b)
+    for a, b in zip(operands, before):
+        assert np.array_equal(a, b) and a.dtype == b.dtype

@@ -226,6 +226,12 @@ def test_long_chains_and_runs_parse_in_a_loop(n):
     assert eval_formula(phi, {"x": 1}, field(3)) == (n % 2 == 1)
 
 
+@pytest.mark.parametrize("n", [1, 5000])
+def test_repr_of_long_runs_is_the_dataclass_text(n):
+    phi = parse_formula("~" * n + "-" * n + "x = 0")
+    assert repr(phi) == "Not(arg=" * n + "Eq0(term=" + "Neg(arg=" * n + "Var(name='x')" + ")" * (2 * n + 1)
+
+
 @pytest.mark.parametrize("text", [
     "(" * MAX_DEPTH + "x = 0" + ")" * MAX_DEPTH,          # parser recursion
     "x = 0 -> " * MAX_DEPTH + "x = 0",                     # one Implies per arrow
