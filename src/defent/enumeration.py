@@ -30,10 +30,10 @@ use and kept for the ``_ENGINE_CACHE`` most recently used fields.
 
 A quantified atom that splits additively into an x-part and an x-free
 part is decided by match counting: the value multiset of the x-part is
-counted once per node and field, and the x-free part is looked up in it,
-so such a quantifier adds no axis.  All of this is evaluation order only:
-results agree with the scalar reference evaluator (ringlang.eval_formula)
-on every input.
+counted once per plan (one per call), and the x-free part is looked up in
+it, so such a quantifier adds no axis; the engine keeps nothing per
+formula.  All of this is evaluation order only: results agree with the
+scalar reference evaluator (ringlang.eval_formula) on every input.
 
 The free grid is cut into chunks, contiguous flat-index ranges made of
 fixed leading axes, one sliced axis and full trailing axes, sized so that
@@ -90,7 +90,6 @@ class _Engine:
         self.dtype = _index_dtype(self.p * self.p if self.e == 1 else 2 * self.q)
         self.tables = self.e > 1 and 4 * self.q * self.q <= _TABLE_BYTES
         self._pows: dict[int, np.ndarray] = {}
-        self._decide: dict = {}
         if self.e > 1:
             self._build_log_exp()
             self.NEG = self._digitwise(lambda d: -d, np.arange(self.q, dtype=self.dtype))
@@ -268,24 +267,15 @@ class _Engine:
     # -- additive quantifiers --------------------------------------------------
 
     def decision(self, node, split):
-        """Truth of ``node`` per value h of its x-free part, a bool vector of length q.
-
-        Built once per node and field from the value multiset of the x-part.
-        """
-        vec = self._decide.get(node)
-        if vec is None:
-            xonly, _, negated = split
-            elems = np.arange(self.q, dtype=self.dtype)
-            sval = self.signed_sum([(s, self.term(u, {node.var: elems})) for s, u in xonly])
-            cnt = np.bincount(np.broadcast_to(sval, (self.q,)).astype(np.int64), minlength=self.q)
-            cnt = cnt[self.neg(np.arange(self.q, dtype=self.dtype))]  # x-part = -h
-            exists = isinstance(node, rl.Exists)
-            if exists:
-                vec = cnt < self.q if negated else cnt >= 1
-            else:
-                vec = cnt == 0 if negated else cnt == self.q
-            self._decide[node] = vec
-        return vec
+        """Truth of ``node`` per value h of its x-free part, a bool vector of length q."""
+        xonly, _, negated = split
+        elems = np.arange(self.q, dtype=self.dtype)
+        sval = self.signed_sum([(s, self.term(u, {node.var: elems})) for s, u in xonly])
+        cnt = np.bincount(np.broadcast_to(sval, (self.q,)).astype(np.int64), minlength=self.q)
+        cnt = cnt[self.neg(elems)]  # x-part = -h
+        if isinstance(node, rl.Exists):
+            return cnt < self.q if negated else cnt >= 1
+        return cnt == 0 if negated else cnt == self.q
 
 
 def _summands(t):
@@ -297,7 +287,6 @@ def _summands(t):
     return [(sign * s, u) for a in t.args for s, u in _summands(a)]
 
 
-@functools.lru_cache(maxsize=1024)
 def _additive_split(node):
     """(x-only summands, x-free summands, negated) of a quantified atom, or None.
 
@@ -322,46 +311,58 @@ def _additive_split(node):
     return (tuple(xonly), tuple(xfree), negated) if xonly else None
 
 
-def _materialises(node) -> bool:
-    """Whether evaluating the quantifier node walks its variable on a numpy axis.
-
-    A vacuous quantifier evaluates its body alone, and one with an additive
-    split is decided by match counting; neither needs an axis.
-    """
-    return node.var in rl.free_vars(node.body) and _additive_split(node) is None
-
-
-@functools.lru_cache(maxsize=1024)
-def _depth(phi) -> int:
-    """Nesting depth of the quantifier axes evaluating phi materialises."""
-    phi = rl.unwrap(phi)[1]
-    if isinstance(phi, rl.Eq0):
-        return 0
-    if isinstance(phi, (rl.Exists, rl.Forall)):
-        return _materialises(phi) + _depth(phi.body)
-    return max(map(_depth, rl.children(phi)))
-
-
-def _quantifiers(phi):
-    """The quantifier nodes of phi, in order of occurrence."""
-    stack = [phi]
+def _subformulas(phi) -> list:
+    """The subformulas of phi in preorder, a run of ~ as its inner formula."""
+    out, stack = [], [phi]
     while stack:
-        node = stack.pop()
-        if isinstance(node, (rl.Exists, rl.Forall)):
-            yield node
+        node = rl.unwrap(stack.pop())[1]
+        out.append(node)
         if not isinstance(node, rl.Eq0):  # terms bind nothing
             stack.extend(reversed(rl.children(node)))
+    return out
 
 
-def _axis_names(dset) -> list:
-    """The variable of each numpy axis: the free ones in order, then each
-    quantified one that some quantifier of it materialises."""
-    bound = (node.var for node in _quantifiers(dset.formula) if _materialises(node))
-    names = list(dict.fromkeys(dset.free_vars + tuple(bound)))
-    if len(names) > _MAX_AXES:
-        raise DomainError(f"{dset.name} has {len(names)} variables that need a numpy axis each; "
-                          f"enumeration handles at most {_MAX_AXES}")
-    return names
+class _Plan:
+    """A reduced set over one field, with the facts its evaluation needs.
+
+    One loop over the formula, children first, records per quantifier node,
+    keyed by ``id()`` of the nodes ``dset`` keeps alive: whether its variable
+    occurs in its body, its additive split, the split's decision vector and
+    its body's axis depth.  ``id()`` keys do not survive pickling, so a plan
+    pickles as (set, field) and is built again where it is unpickled.
+    """
+
+    def __init__(self, dset, spec):
+        self.dset, self.spec, self.eng = dset, spec, get_engine(spec)
+        self.quant = {}  # id(node) -> (occurs, split, decision vector, body depth)
+        bound = []  # materialised quantified variables, last occurrence first
+        done = []  # (axis depth, free variable names) of each finished subformula
+        for phi in reversed(_subformulas(dset.formula)):  # children before parents
+            if isinstance(phi, rl.Eq0):
+                done.append((0, set(rl.free_vars(phi.term))))
+                continue
+            parts = [done.pop() for _ in rl.children(phi)]
+            if isinstance(phi, (rl.Exists, rl.Forall)):
+                ((depth, free),) = parts
+                occurs = phi.var in free
+                split = _additive_split(phi) if occurs else None
+                vec = None if split is None else self.eng.decision(phi, split)
+                self.quant[id(phi)] = (occurs, split, vec, depth)
+                if occurs and split is None:
+                    bound.append(phi.var)
+                    depth += 1
+                done.append((depth, free - {phi.var}))
+            else:
+                done.append((max(d for d, _ in parts), set().union(*(n for _, n in parts))))
+        ((self.depth, _),) = done
+        names = list(dict.fromkeys(dset.free_vars + tuple(reversed(bound))))
+        if len(names) > _MAX_AXES:
+            raise DomainError(f"{dset.name} has {len(names)} variables that need a numpy axis "
+                              f"each; enumeration handles at most {_MAX_AXES}")
+        self.axes = {v: i for i, v in enumerate(names)}
+
+    def __reduce__(self):
+        return _Plan, (self.dset, self.spec)
 
 
 def _axis_range(lo, hi, axis, ndim, dtype):
@@ -373,10 +374,10 @@ def _axis_range(lo, hi, axis, ndim, dtype):
 class _Chunk:
     """One chunk's evaluation: env maps each variable to its broadcast value array."""
 
-    def __init__(self, eng, env, axes, rows):
-        self.eng = eng
+    def __init__(self, plan, env, rows):
+        self.plan = plan
+        self.eng = plan.eng
         self.env = env
-        self.axes = axes
         self.rows = rows
 
     def formula(self, phi):
@@ -404,17 +405,15 @@ class _Chunk:
     def quantifier(self, node):
         eng = self.eng
         x, body = node.var, node.body
-        if x not in rl.free_vars(body):
+        occurs, split, vec, depth = self.plan.quant[id(node)]
+        if not occurs:
             return self.formula(body)  # the field is nonempty
-        split = _additive_split(node)
         if split is not None:
             xfree = [(s, eng.term(u, self.env)) for s, u in split[1]]
-            return eng.decision(node, split)[eng.signed_sum(xfree) if xfree else 0]
+            return vec[eng.signed_sum(xfree) if xfree else 0]
         exists = isinstance(node, rl.Exists)
-        axis = self.axes[x]
-        ndim = len(self.axes)
-        q = eng.q
-        block = max(1, min(q, _CHUNK_ELEMS // (self.rows * q ** _depth(body))))
+        axis, ndim, q = self.plan.axes[x], len(self.plan.axes), eng.q
+        block = max(1, min(q, _CHUNK_ELEMS // (self.rows * q**depth)))
         outer = self.env.get(x)
         acc = None
         for lo in range(0, q, block):
@@ -496,7 +495,8 @@ def _plan(dset):
     bijection with dset's, so counts agree by construction.
     """
     free = list(dset.free_vars)
-    bound = {node.var for node in _quantifiers(dset.formula)}
+    bound = {phi.var for phi in _subformulas(dset.formula)
+             if isinstance(phi, (rl.Exists, rl.Forall))}
     conj = _conjuncts(dset.formula)
     defs = []
     found = True
@@ -518,13 +518,13 @@ def _plan(dset):
 # -- chunked drivers ---------------------------------------------------------------
 
 
-def _chunk_plan(dset, spec):
+def _chunk_plan(plan):
     """(k, ranges): chunks are flat-index ranges over k full trailing axes."""
-    n = len(dset.free_vars)
-    q = spec.q
+    n = len(plan.dset.free_vars)
+    q = plan.spec.q
     if n == 0:
         return 0, [(0, 1)]
-    rows = max(1, _CHUNK_ELEMS // q ** _depth(dset.formula))
+    rows = max(1, _CHUNK_ELEMS // q**plan.depth)
     k = 0
     while k < n - 1 and q ** (k + 1) <= rows:
         k += 1
@@ -538,12 +538,9 @@ def _chunk_plan(dset, spec):
     return k, ranges
 
 
-def _eval_chunk(dset, spec, k, lo, hi, collect):
-    eng = get_engine(spec)
-    free = dset.free_vars
-    names = _axis_names(dset)
-    axes = {v: i for i, v in enumerate(names)}
-    n, q, ndim = len(free), spec.q, len(names)
+def _eval_chunk(plan, k, lo, hi, collect):
+    eng, free = plan.eng, plan.dset.free_vars
+    n, q, ndim = len(free), plan.spec.q, len(plan.axes)
     shape = [1] * ndim
     env = {}
     j = n - 1 - k  # the sliced axis
@@ -560,7 +557,7 @@ def _eval_chunk(dset, spec, k, lo, hi, collect):
         env[free[i]] = _axis_range(0, q, i, ndim, eng.dtype)
         shape[i] = q
     rows = hi - lo
-    truth = _Chunk(eng, env, axes, rows).formula(dset.formula)
+    truth = _Chunk(plan, env, rows).formula(plan.dset.formula)
     if not collect:
         return int(np.count_nonzero(truth)) * (rows // np.size(truth)), None
     sat = np.flatnonzero(np.broadcast_to(truth, shape)) + lo
@@ -579,13 +576,13 @@ def _budget_check(dset, spec, max_evals):
 
 def _run_chunks(dset, spec, collect, jobs, max_evals):
     _budget_check(dset, spec, max_evals)
-    _axis_names(dset)  # too many variables is a domain error before any chunk runs
-    k, ranges = _chunk_plan(dset, spec)
-    tasks = [(dset, spec, k, lo, hi, collect) for lo, hi in ranges]
+    plan = _Plan(dset, spec)  # too many variables is a domain error before any chunk runs
+    k, ranges = _chunk_plan(plan)
+    tasks = [(plan, k, lo, hi, collect) for lo, hi in ranges]
     if jobs > 1 and len(ranges) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_eval_chunk, *zip(*tasks), chunksize=1))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:  # one batch, so one plan, per worker
+            parts = list(pool.map(_eval_chunk, *zip(*tasks), chunksize=-(-len(tasks) // jobs)))
     else:
         parts = [_eval_chunk(*t) for t in tasks]
     count = sum(c for c, _ in parts)

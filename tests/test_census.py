@@ -28,7 +28,7 @@ from defent import (
 )
 from defent import ringlang as rl
 from defent.census import CensusTable, collect_points
-from defent.enumeration import _chunk_plan, _plan
+from defent.enumeration import _chunk_plan, _plan, _Plan
 from defent.polymatroid import Profile
 
 
@@ -261,10 +261,18 @@ def test_determinism_across_jobs(hyp_set, sqrt_set, kr_set):
     assert a == b
     assert count_points(hyp_set, field(7), jobs=3) == 13
     # a set whose reduced grid (13^6 assignments) the pool really splits
-    _, chunks = _chunk_plan(_plan(kr_set)[0], field(13))
+    _, chunks = _chunk_plan(_Plan(_plan(kr_set)[0], field(13)))
     assert len(chunks) > 1
     serial = collect_points(kr_set, field(13))
     assert np.array_equal(serial, collect_points(kr_set, field(13), jobs=2))
+    # quantified sets over grids of 2 chunks: the pool rebuilds each plan from its pickle
+    sq = parse_set("set Sq(y) := exists x. x^2 + y^2 = 0")  # an additive split
+    e = parse_set("set E(a, b) := exists x. x^2 = a*x + b")  # x walks an axis
+    for dset, spec in [(sq, field(524309)), (e, field(101)), (e, field(3, 4))]:
+        _, chunks = _chunk_plan(_Plan(_plan(dset)[0], spec))
+        assert len(chunks) > 1
+        assert count_points(dset, spec, jobs=2) == count_points(dset, spec)
+        assert np.array_equal(collect_points(dset, spec, jobs=2), collect_points(dset, spec))
 
 
 def test_budget_guard(kr_set):

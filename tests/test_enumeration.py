@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defent import count_points, eval_formula, field
+from defent import count_points, entropy_profile, eval_formula, field, log_of_rat
 from defent import enumeration
 from defent import ringlang as rl
 from defent.census import collect_points
@@ -326,6 +326,29 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def traced_retained(fn) -> int:
+    """Bytes still traced after fn() returns, above those traced when it starts."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_engine_keeps_no_per_formula_state():
+    # each set has an additive split, so each count finds a decision vector of q bools
+    spec = field(100003)
+    get_engine(spec)
+
+    def count_all():
+        for i in range(1, 101):
+            count_points(rl.parse_set(f"set S(y) := exists x. x^2 + {i}*y = 0"), spec)
+
+    assert traced_retained(count_all) <= 1 * MiB
+
+
 def test_log_exp_tables_are_built_in_bounded_memory():
     # what get_engine(field(7, 6)) builds, past its cache: 117,649 elements
     assert traced_peak(lambda: enumeration._Engine(field(7, 6))) <= 8 * MiB
@@ -370,3 +393,28 @@ def test_engine_ops_never_write_into_their_operands(spec):
             check(eng.mul(a, b), spec.mul, a, b)
     for a, b in zip(operands, before):
         assert np.array_equal(a, b) and a.dtype == b.dtype
+
+
+# -- deep formulas -------------------------------------------------------------
+
+
+def deep_set_text(levels):
+    """exists x. x*(x*(...(y + 1)...) + 1) = 1 with ``levels`` factors of x: height 2 levels + 4."""
+    t = "y + 1"
+    for _ in range(levels - 1):
+        t = f"x*({t}) + 1"
+    return f"set D(y) := exists x. x*({t}) = 1"
+
+
+def from_depth(frames, fn):
+    """fn() called from ``frames`` Python frames further down the stack."""
+    return fn() if frames == 0 else from_depth(frames - 1, fn)
+
+
+def test_reparsed_deep_sets_evaluate_from_a_deep_caller():
+    # an equal tree parsed again must not be compared with the first one node by node
+    text = deep_set_text(98)
+    assert rl._height(rl.parse_set(text).formula) == rl.MAX_DEPTH
+    count = count_points(rl.parse_set(text), field(5))
+    profile = from_depth(300, lambda: entropy_profile(rl.parse_set(text), field(5)))
+    assert profile["y"] == log_of_rat(count)
