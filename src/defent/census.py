@@ -35,13 +35,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import polymatroid
 from .enumeration import DEFAULT_MAX_EVALS
 from .enumeration import collect_points_vec as collect_points, count_points_vec as count_points
 from .errors import DomainError, EstimationError
-from .extend import Distribution, entropy_of_counts
+from .extend import Distribution, entropy_numerators
 from .gf import FieldSpec, field
-from .logval import LogValue
 from .polymatroid import Profile
 from .ringlang import DefinableSet
 
@@ -180,22 +178,23 @@ def entropy_profile(dset: DefinableSet, spec: FieldSpec, *, jobs: int = 1,
     if total == 0:
         raise DomainError(f"empty definable set: {dset.name} over {spec!r}")
     labels, q = dset.free_vars, spec.q
-    hists = {}
+    rows = [{}] * (1 << len(labels))
+    memo = {}  # bucket items -> entropy row: marginals repeat a few fiber histograms
 
-    def walk(cols, keys):
+    def walk(cols, keys, mask):
         for c in range(cols[-1] + 1 if cols else 0, len(labels)):
             sub = cols + (c,)
             child = points[c] if keys is None else keys * q + points[c]
-            names = [labels[j] for j in sub]
-            hists[frozenset(names)] = _histogram_from_points(points, sub, names, q, child)
-            walk(sub, child)
+            buckets = _histogram_from_points(points, sub, [labels[j] for j in sub], q,
+                                             child).buckets
+            key = tuple(buckets.items())
+            if key not in memo:
+                memo[key] = entropy_numerators(buckets, total)
+            rows[mask | 1 << c] = memo[key]
+            walk(sub, child, mask | 1 << c)
 
-    walk((), None)
-    entries = {frozenset(): LogValue.zero()}
-    for ks in polymatroid.subsets(labels):
-        if ks:
-            entries[ks] = entropy_of_counts(hists[ks].buckets, total)
-    return Profile(labels, entries)
+    walk((), None, 0)
+    return Profile._of_rows(labels, rows, total)
 
 
 def marginal_distribution(dset: DefinableSet, I, spec: FieldSpec) -> Distribution:

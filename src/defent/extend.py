@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 
 from .errors import DomainError, malformed
@@ -93,10 +94,9 @@ class Distribution:
     def _marginal_numerators(self, I) -> dict:
         """Projected outcomes on I (in ground-set order) -> probability numerator over _den."""
         want = set(I)
-        idx = [i for i, v in enumerate(self.ground_set) if v in want]
+        cols = [col for v, col in zip(self.ground_set, zip(*self._numerators)) if v in want]
         out: dict[tuple, int] = {}
-        for o, n in self._numerators.items():
-            key = tuple([o[i] for i in idx])
+        for key, n in zip(zip(*cols) if cols else repeat(()), self._numerators.values()):
             out[key] = out.get(key, 0) + n
         return out
 
@@ -135,25 +135,36 @@ class Distribution:
         return cls(gs, probs, alphabets)
 
 
-def entropy_of_counts(counts: dict, total: int) -> LogValue:
-    """log total - (1/total) sum k n log n: total equal points in k blocks of each size n.
+def entropy_numerators(counts: dict, total: int) -> dict:
+    """Per prime p, total times the coefficient of log p in the entropy of ``counts``.
 
-    Per prime p the coefficient is (total e_p(total) - sum k n e_p(n)) / total,
-    an integer numerator over one denominator.
+    ``counts`` maps a block size n to the number k of blocks of that size
+    among total equal points; the entropy is log total - (1/total) sum k n log n,
+    so the numerator of p over total is total e_p(total) - sum k n e_p(n),
+    an integer.
     """
     num = {p: total * e for p, e in log_of_rat(total)._terms.items()}
     for n, k in counts.items():
         if n > 1:
             for p, e in log_of_rat(n)._terms.items():
                 num[p] = num.get(p, 0) - e * k * n
-    return LogValue._raw({p: _canon(Fraction(c, total)) for p, c in num.items() if c})
+    return {p: c for p, c in num.items() if c}
+
+
+def entropy_of_counts(counts: dict, total: int) -> LogValue:
+    """log total - (1/total) sum k n log n: total equal points in k blocks of each size n."""
+    return LogValue._raw({p: _canon(Fraction(c, total))
+                          for p, c in entropy_numerators(counts, total).items()})
 
 
 def dist_entropy_profile(p: Distribution) -> Profile:
-    """Exact entropy profile: each marginal cuts den equal points into blocks of its numerators."""
-    entries = {ks: entropy_of_counts(Counter(p._marginal_numerators(ks).values()), p._den)
-               for ks in subsets(p.ground_set)}
-    return Profile(p.ground_set, entries)
+    """Exact entropy profile: each marginal cuts den equal points into blocks of its
+    numerators, one exponent row per subset over the denominator den."""
+    gs = p.ground_set
+    rows = [entropy_numerators(Counter(p._marginal_numerators(
+                [v for i, v in enumerate(gs) if mask >> i & 1]).values()), p._den)
+            for mask in range(1 << len(gs))]
+    return Profile._of_rows(gs, rows, p._den)
 
 
 # -- conditional product (the copy construction) -----------------------------------

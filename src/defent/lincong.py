@@ -32,8 +32,8 @@ import numpy as np
 from .errors import BudgetError, DomainError, malformed
 from .extend import Distribution, dist_entropy_profile
 from .gf import FieldSpec
-from .logval import is_prime, log_of_rat
-from .polymatroid import Profile, subsets
+from .logval import factorize, is_prime
+from .polymatroid import Profile
 
 BRUTEFORCE_BUDGET = 10**8
 
@@ -292,9 +292,10 @@ def _snf_diagonal(rows: tuple) -> tuple:
 
 @functools.lru_cache(maxsize=1 << 10)
 def _subset_diagonals(matrix: IntMatrix) -> tuple:
-    """(row subset, SNF diagonal of its rows) for every subset, in ``subsets`` order."""
-    return tuple((ks, _snf_diagonal(matrix.submatrix(ks).rows) if ks else ())
-                 for ks in subsets(matrix.labels))
+    """SNF diagonal of every row subset, indexed by bitmask (bit i is row i)."""
+    rows, n = matrix.rows, matrix.n
+    return tuple(_snf_diagonal(tuple(rows[i] for i in range(n) if mask >> i & 1)) if mask else ()
+                 for mask in range(1 << n))
 
 
 def _image_order(diagonal, m: int) -> int:
@@ -302,6 +303,29 @@ def _image_order(diagonal, m: int) -> int:
     if m < 2:
         raise DomainError("modulus must be >= 2")
     return prod(m // gcd(m, s) for s in diagonal)
+
+
+@functools.lru_cache(maxsize=1 << 8)
+def _valuations(m: int) -> tuple:
+    """(p, v_p(m)) for every prime p of m, ascending."""
+    return tuple(sorted(factorize(m).items()))
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _image_exponents(diagonal, m: int) -> tuple:
+    """Exponents of prod_i m / gcd(m, s_i) over the primes of m, ascending: that of p
+    is the sum over i of v_p(m) - min(v_p(m), v_p(s_i)), with v_p(0) infinite."""
+    out = []
+    for p, v in _valuations(m):
+        e = len(diagonal) * v
+        for s in diagonal:
+            w = 0
+            while w < v and s % p == 0:
+                s //= p
+                w += 1
+            e -= w
+        out.append(e)
+    return tuple(out)
 
 
 def image_size(matrix: IntMatrix, m: int) -> int:
@@ -340,10 +364,17 @@ def profile_lincong(matrix: IntMatrix, m: int) -> Profile:
     """Entropy profile of the uniform distribution on im(A mod m).
 
     h(I) = log |im(A_I mod m)| for every row subset I; quasi-uniformity
-    makes each marginal exactly uniform on its image.
+    makes each marginal exactly uniform on its image.  The exponent matrix
+    is built directly, over the primes of m with denominator 1: the row of I
+    holds the exponents of |im| = prod_i m / gcd(m, s_i), read from the
+    valuations of m and of the cached SNF diagonal s of A_I, one row per
+    (diagonal, m) in a bounded cache.
     """
-    entries = {ks: log_of_rat(_image_order(diag, m)) for ks, diag in _subset_diagonals(matrix)}
-    return Profile(matrix.labels, entries)
+    if m < 2:
+        raise DomainError("modulus must be >= 2")
+    rows = [_image_exponents(diag, m) for diag in _subset_diagonals(matrix)]
+    primes = [p for p, _ in _valuations(m)]
+    return Profile._of_matrix(matrix.labels, primes, 1, list(zip(*rows)))
 
 
 def torus_profile(matrix: IntMatrix, spec: FieldSpec) -> Profile:
@@ -385,7 +416,7 @@ def _monomial(spec, t, exponents, power):
 
 def dirichlet_modulus(matrix: IntMatrix) -> int:
     """lcm of all nonzero SNF diagonal entries over all row submatrices."""
-    return lcm(*(s for _, diag in _subset_diagonals(matrix) for s in diag if s))
+    return lcm(*(s for diag in _subset_diagonals(matrix) for s in diag if s))
 
 
 def suggest_primes(s: int, count: int) -> list:

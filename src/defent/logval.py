@@ -248,16 +248,23 @@ class LogValue:
     def sign(self) -> int:
         """Certified sign in {-1, 0, +1}.
 
-        Zero is structural (empty term map); otherwise the first enclosure
-        that excludes zero decides, and the result is memoised.
+        Zero is structural (empty term map), and so is the sign of a term
+        map whose coefficients all have one sign, since every log p > 0;
+        otherwise the first enclosure that excludes zero decides.  The result
+        is memoised.
         """
         if not self._terms:
             return 0
         if self._sign is None:
-            for lo, hi, _ in self._enclosures():
-                if lo > 0 or hi < 0:
-                    self._sign = 1 if lo > 0 else -1
-                    break
+            if min(self._terms.values()) > 0:
+                self._sign = 1
+            elif max(self._terms.values()) < 0:
+                self._sign = -1
+            else:
+                for lo, hi, _ in self._enclosures():
+                    if lo > 0 or hi < 0:
+                        self._sign = 1 if lo > 0 else -1
+                        break
         return self._sign
 
     def __eq__(self, other):

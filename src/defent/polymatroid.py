@@ -2,7 +2,10 @@
 
 A Profile is a dense map 2^N -> LogValue with h(emptyset) = 0; entropy
 profiles of uniform distributions on definable sets, linear-congruence
-profiles and distribution profiles all live here.  On top of profiles the
+profiles and distribution profiles all live here.  A profile holds its
+integer exponent matrix E: one row per subset, in bitmask order of the
+ground set, one column per prime, all over one least common denominator;
+LogValue entries are built from a row on demand.  On top of profiles the
 module provides the classical functionals (conditional entropy, conditional
 mutual information, the Ingleton expression), the elemental Shannon check,
 factoring along a partition of the ground set, modular convolution, a small
@@ -12,9 +15,10 @@ together with its essential-conditionality scan.
 
 All checks are exact: a functional is zero iff its LogValue is structurally
 zero, and comparisons use certified signs, never floating thresholds.  The
-elemental Shannon check evaluates its inequalities as integer rows over the
-profile's prime-exponent matrix: an all-zero row needs no sign, and each
-distinct nonzero row is signed once per call.
+Shannon quantities and the elemental Shannon check are integer sums of rows
+of E, read column by column at a few bitmasks.  A sum whose entries share
+one sign has that sign with no enclosure (every log p > 0); the elemental
+check signs each other distinct row once per call.
 
 Subsets are walked (``subsets``), keyed in JSON (``label_order``,
 ``subset_key``, ``parse_subset_key``, ``entries_to_json``) and combined into Shannon
@@ -36,7 +40,7 @@ from fractions import Fraction
 
 from .errors import DomainError, malformed
 from .gf import prime_power
-from .logval import LOG2, LogValue, log_of_rat
+from .logval import LOG2, LogValue, _canon, log_of_rat
 
 _ZERO = LogValue.zero()
 
@@ -69,12 +73,17 @@ def parse_subset_key(key: str) -> frozenset:
     return frozenset(key.split(",")) if key else frozenset()
 
 
+def _json_keys(ground_set, subsets) -> list:
+    """(subset_key, subset) pairs in JSON order: smallest subsets first, then by key."""
+    order = label_order(ground_set)
+    return sorted(((subset_key(order, ks), ks) for ks in subsets),
+                  key=lambda t: (len(t[1]), t[0]))
+
+
 def entries_to_json(ground_set, entries) -> dict:
     """subset_key -> value JSON (None stays None), smallest subsets first."""
-    order = label_order(ground_set)
-    keyed = sorted(((len(ks), subset_key(order, ks), v) for ks, v in entries.items()),
-                   key=lambda t: t[:2])
-    return {key: None if v is None else v.to_json() for _, key, v in keyed}
+    return {key: None if entries[ks] is None else entries[ks].to_json()
+            for key, ks in _json_keys(ground_set, entries)}
 
 
 def entries_from_json(obj) -> dict:
@@ -84,61 +93,136 @@ def entries_from_json(obj) -> dict:
 
 
 class Profile:
-    """A set function on 2^N with exact LogValue entries and h(empty) = 0."""
+    """A set function on 2^N with exact LogValue entries and h(empty) = 0.
+
+    A profile holds its exponent matrix E: one row per subset S of the
+    ground set, indexed by bitmask (bit i stands for ``ground_set[i]``), and
+    one column per prime p, ascending, all over one common denominator den:
+    h(S) = sum_p E[S, p] / den * log p.  E is stored column by column
+    (``_cols[j][mask]`` is the entry of ``_primes[j]``) and kept canonical:
+    no column is all zero and den is the least common denominator, so equal
+    profiles have equal matrices.  ``h[S]`` and ``entries()`` build LogValues
+    on demand.
+
+    ``Profile(ground_set, entries)`` validates a dict of LogValue entries
+    (labels inside the ground set, every subset defined, h(empty) = 0) and
+    reads E off their coefficients.  Producers that know their exponents
+    (``profile_lincong``, the entropy profiles, ``factor``) build E
+    directly with ``_of_matrix``.
+    """
 
     def __init__(self, ground_set, entries):
-        self.ground_set = tuple(ground_set)
-        if len(set(self.ground_set)) != len(self.ground_set):
-            raise DomainError("ground set labels must be distinct")
-        full = frozenset(self.ground_set)
-        canon: dict[frozenset, LogValue] = {}
+        gs = _distinct(ground_set)
+        full = frozenset(gs)
+        canon: dict[frozenset, dict] = {}
         for key, val in entries.items():
             ks = _as_labelset(key)
             if not ks <= full:
-                raise DomainError(f"entry {set(ks)} not within ground set {self.ground_set}")
+                raise DomainError(f"entry {set(ks)} not within ground set {gs}")
             if not isinstance(val, LogValue):
                 raise DomainError("profile entries must be LogValue")
-            canon[ks] = val
-        expected = 1 << len(self.ground_set)
+            canon[ks] = val._terms
+        expected = 1 << len(gs)
         if len(canon) != expected:
             raise DomainError(
                 f"profile must define all {expected} subsets, got {len(canon)}"
             )
-        if canon[frozenset()] != _ZERO:
+        if canon[frozenset()]:
             raise DomainError("h(emptyset) must be exactly 0")
-        self._entries = canon
+        primes = sorted({p for t in canon.values() for p in t})
+        den = math.lcm(*(c.denominator for t in canon.values() for c in t.values()))
+        column = {p: [0] * expected for p in primes}
+        for ks, mask in _subset_index(gs).items():
+            for p, c in canon[ks].items():
+                column[p][mask] = c.numerator * (den // c.denominator)
+        self._hold(gs, tuple(primes), den, tuple(tuple(column[p]) for p in primes))
+
+    def _hold(self, gs, primes, den, cols):
+        self.ground_set = gs
+        self._index = _subset_index(gs)
+        self._primes, self._den, self._cols = primes, den, cols
+
+    @classmethod
+    def _of_matrix(cls, ground_set, primes, den, cols) -> "Profile":
+        """The profile with exponent columns cols (one entry per bitmask) over den,
+        made canonical: all-zero columns dropped, den reduced."""
+        keep = [j for j, col in enumerate(cols) if any(col)]
+        if len(keep) < len(cols):
+            primes, cols = [primes[j] for j in keep], [cols[j] for j in keep]
+        g = math.gcd(den, *itertools.chain.from_iterable(cols)) if den > 1 else 1
+        if g > 1:
+            den //= g
+            cols = [tuple(e // g for e in col) for col in cols]
+        h = cls.__new__(cls)
+        h._hold(_distinct(ground_set), tuple(primes), den, tuple(cols))
+        return h
+
+    @classmethod
+    def _of_rows(cls, ground_set, rows, den) -> "Profile":
+        """The profile whose row at bitmask S is rows[S], a map prime -> numerator over den."""
+        primes = sorted({p for row in rows for p in row})
+        return cls._of_matrix(ground_set, primes, den,
+                              [tuple(row.get(p, 0) for row in rows) for p in primes])
+
+    def _value(self, mask) -> LogValue:
+        den = self._den
+        if den == 1:
+            return LogValue._raw({p: col[mask] for p, col in zip(self._primes, self._cols)
+                                  if col[mask]})
+        return LogValue._raw({p: _canon(Fraction(col[mask], den))
+                              for p, col in zip(self._primes, self._cols) if col[mask]})
+
+    def _mask(self, ks) -> int:
+        try:
+            return self._index[ks]
+        except KeyError:
+            raise _unknown_subset(ks) from None
 
     def __getitem__(self, labels) -> LogValue:
-        ks = _as_labelset(labels)
-        try:
-            return self._entries[ks]
-        except KeyError:
-            raise DomainError(f"unknown subset {sorted(ks)}") from None
+        return self._value(self._mask(_as_labelset(labels)))
 
     def subsets(self):
-        return self._entries.keys()
+        """Every subset of the ground set, in bitmask order."""
+        return self._index.keys()
 
     def entries(self):
-        return dict(self._entries)
+        return {ks: self._value(mask) for ks, mask in self._index.items()}
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Profile)
-            and set(self.ground_set) == set(other.ground_set)
-            and self._entries == other._entries
-        )
+        if not (isinstance(other, Profile) and set(self.ground_set) == set(other.ground_set)
+                and (self._primes, self._den) == (other._primes, other._den)):
+            return False
+        if self.ground_set == other.ground_set:
+            return self._cols == other._cols
+        perm = [other._index[ks] for ks in self._index]
+        return all(col == tuple(map(ocol.__getitem__, perm))
+                   for col, ocol in zip(self._cols, other._cols))
 
     def __repr__(self):
         return f"Profile(n={len(self.ground_set)}, labels={self.ground_set})"
 
     def to_json(self) -> dict:
+        """Each entry's JSON (``LogValue.to_json``) spelled from its row: e/den in lowest terms."""
+        den, keys = self._den, [str(p) for p in self._primes]
+
+        def terms(mask):
+            out = {}
+            for key, col in zip(keys, self._cols):
+                if col[mask]:
+                    g = math.gcd(col[mask], den)
+                    out[key] = f"{col[mask] // g}/{den // g}"
+            return {"terms": out}
+
         return {
             "ground_set": list(self.ground_set),
-            "entries": entries_to_json(self.ground_set, self._entries),
+            "entries": {key: terms(self._index[ks])
+                        for key, ks in _json_keys(self.ground_set, self._index)},
         }
 
     @classmethod
     def from_json(cls, obj) -> "Profile":
+        """Decodes every coefficient string (``LogValue.from_json``) and reads the
+        rows of E off the decoded entries, with every check of the constructor."""
         with malformed("profile JSON"):
             ground_set, entries = tuple(obj["ground_set"]), entries_from_json(obj["entries"])
         if not all(isinstance(v, str) for v in ground_set):
@@ -147,30 +231,54 @@ class Profile:
 
     def normalized(self, base: int):
         """Base-b rendering of every entry: exact Fraction where possible."""
-        return {ks: val.normalize_base(base) for ks, val in self._entries.items()}
+        return {ks: self._value(mask).normalize_base(base) for ks, mask in self._index.items()}
+
+
+def _unknown_subset(ks) -> DomainError:
+    return DomainError(f"unknown subset {sorted(ks)}")
+
+
+def _distinct(ground_set) -> tuple:
+    gs = tuple(ground_set)
+    if len(set(gs)) != len(gs):
+        raise DomainError("ground set labels must be distinct")
+    return gs
+
+
+@functools.lru_cache(maxsize=64)
+def _subset_index(gs: tuple) -> dict:
+    """frozenset -> bitmask (bit i stands for gs[i]) for every subset of gs, in bitmask order."""
+    index = {frozenset(): 0}
+    for i, v in enumerate(gs):
+        index.update([(ks | {v}, mask | 1 << i) for ks, mask in index.items()])
+    return index
 
 
 def zero_profile(ground_set) -> Profile:
-    gs = tuple(ground_set)
-    return Profile(gs, dict.fromkeys(subsets(gs), _ZERO))
+    return Profile._of_matrix(ground_set, (), 1, ())
 
 
 # -- basic functionals -------------------------------------------------------
 
 def _signed_sum(h, terms):
     """sum of w * h[S] over the (w, S) in terms, w an int or a Fraction: one LinFunctional
-    on ``H``, one LogValue on a Profile (its entries' prime coefficients added in one dict)."""
-    acc = {}
+    on ``H``, one LogValue on a Profile (each prime's column read at the terms' bitmasks)."""
     if h is H:
+        acc = {}
         for w, ks in terms:
             acc[ks] = acc.get(ks, 0) + w
         return LinFunctional(acc)
-    entries = h._entries
-    for w, ks in terms:
-        for p, c in (entries[ks] if ks in entries else h[ks])._terms.items():
-            acc[p] = acc.get(p, 0) + w * c
-    return LogValue._raw({p: c.numerator if c.denominator == 1 else c
-                          for p, c in acc.items() if c})
+    index = h._index
+    try:
+        picked = [(w, index[ks]) for w, ks in terms]
+    except KeyError as exc:
+        raise _unknown_subset(exc.args[0]) from None
+    den, out = h._den, {}
+    for p, col in zip(h._primes, h._cols):
+        c = sum([w * col[mask] for w, mask in picked])
+        if c:
+            out[p] = c if den == 1 and type(c) is int else _canon(Fraction(c, den))
+    return LogValue._raw(out)
 
 
 def cond_entropy(h: Profile, I, K) -> LogValue:
@@ -227,40 +335,39 @@ def _elemental_text(gs, row) -> str:
 def is_polymatroid(h: Profile) -> PolymatroidCheck:
     """Elemental Shannon check: h(i|N-i) >= 0 and h(i:j|K) >= 0.
 
-    They are equivalent to monotonicity + submodularity.  Each is read off the
-    profile's exponent matrix (entry (S, p): den * coefficient of log p in h(S))
-    as integer row sums; an all-zero row is a structural zero, any other row
-    gets a certified sign (each distinct row once, from a per-call dict), and
-    the first negative row in visiting order is reported.
+    They are equivalent to monotonicity + submodularity.  Each is an integer
+    row read off the profile's exponent matrix, column by column at four
+    bitmasks.  A row with no negative entry is >= 0 as it stands (log p > 0);
+    any other row gets a certified sign, each distinct row once per call,
+    and the first negative row in visiting order is reported.
     """
-    gs = h.ground_set
-    bit = {v: 1 << i for i, v in enumerate(gs)}
-    terms = [None] * (1 << len(gs))
-    for ks, val in h._entries.items():
-        terms[sum(bit[v] for v in ks)] = val._terms
-    primes = sorted({p for t in terms for p in t})
-    den = math.lcm(*(c.denominator for t in terms for c in t.values()))
-    rows = _elemental_rows(len(gs))
-    cols = [[c.numerator * (den // c.denominator) for c in (t.get(p, 0) for t in terms)]
-            for p in primes]
-    sums = [[col[a] + col[b] - col[c] - col[d] for a, b, c, d in rows] for col in cols]
-    signs = {(0,) * len(primes): 0}
+    rows = _elemental_rows(len(h.ground_set))
+    sums = [[col[a] + col[b] - col[c] - col[d] for a, b, c, d in rows] for col in h._cols]
+    if all(min(s) >= 0 for s in sums):
+        return PolymatroidCheck(True)
+    nonnegative = set()
     for masks, row in zip(rows, zip(*sums)):
-        if row not in signs:
-            signs[row] = LogValue._raw({p: v for p, v in zip(primes, row) if v}).sign()
-        if signs[row] < 0:
-            return PolymatroidCheck(False, _elemental_text(gs, masks))
+        if min(row) >= 0 or row in nonnegative:
+            continue
+        if LogValue._raw({p: v for p, v in zip(h._primes, row) if v}).sign() < 0:
+            return PolymatroidCheck(False, _elemental_text(h.ground_set, masks))
+        nonnegative.add(row)
     return PolymatroidCheck(True)
 
 
 def factor(h: Profile, partition) -> Profile:
-    """Pullback of h along a partition of its ground set into blocks."""
+    """Pullback of h along a partition of its ground set into blocks: the row of a
+    set of blocks is h's row at the union of their bitmasks."""
     blocks = {b: tuple(vs) for b, vs in dict(partition).items()}
     flat = [v for vs in blocks.values() for v in vs]
     if sorted(flat) != sorted(h.ground_set):
         raise DomainError("blocks must partition the ground set")
-    entries = {ks: h[frozenset(v for b in ks for v in blocks[b])] for ks in subsets(blocks)}
-    return Profile(tuple(blocks), entries)
+    unions = [0]
+    for vs in blocks.values():
+        bits = h._mask(frozenset(vs))
+        unions += [u | bits for u in unions]
+    return Profile._of_matrix(tuple(blocks), h._primes, h._den,
+                              [tuple(col[u] for u in unions) for col in h._cols])
 
 
 def is_modular(m: Profile) -> bool:

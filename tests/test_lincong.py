@@ -11,6 +11,7 @@ from defent import (
     BudgetError,
     DomainError,
     IntMatrix,
+    LogValue,
     dirichlet_modulus,
     field,
     image_size,
@@ -27,6 +28,7 @@ from defent import (
 )
 from defent.lincong import SnfResult, _det, _verify_snf
 from defent.polymatroid import subsets
+from test_acceptance import all_subset_image_sizes_bruteforce
 
 PAPER_MATRIX = IntMatrix.from_rows(
     [(1, 0, 2, 3, 0), (2, 9, 7, 7, 7), (9, 3, 3, 3, 0), (2, 2, 7, 7, 7)]
@@ -207,6 +209,38 @@ def test_ingleton_on_congruence_profiles():
         m = rng.randint(2, 30)
         h = profile_lincong(mat, m)
         assert ingleton(h, "1", "2", "3", "4").sign() >= 0
+
+
+def test_sweep_shape_profiles_match_bruteforce_counts(monkeypatch):
+    """5x3 matrices with entries in [-10, 10] at m = 2, 6, 12, as the benchmark sweeps them:
+    every entry is log of the enumerated image size, and the Shannon verdict and the
+    Ingleton values are those of test-side sums of those logs."""
+    rng = random.Random(22)
+    for _ in range(10):
+        mat = IntMatrix.from_rows([[rng.randint(-10, 10) for _ in range(3)] for _ in range(5)])
+        labels = mat.labels
+        for m in (2, 6, 12):
+            h = profile_lincong(mat, m)
+            logs = {frozenset(ks): log_of_rat(count)
+                    for ks, count in all_subset_image_sizes_bruteforce(mat, m).items()}
+            logs[frozenset()] = LogValue.zero()
+            assert h.entries() == logs, (mat, m)
+
+            def mi(a, b, k):
+                return logs[a | k] + logs[b | k] - logs[a | b | k] - logs[k]
+
+            full = frozenset(labels)
+            shannon = all((logs[full] - logs[full - {v}]).sign() >= 0 for v in labels) and all(
+                mi(frozenset(a), frozenset(b), k).sign() >= 0
+                for a, b in itertools.combinations(labels, 2)
+                for k in subsets(v for v in labels if v not in (a, b)))
+            with monkeypatch.context() as patch:  # one-signed rows need no enclosure
+                patch.setattr(LogValue, "_enclosures", None)
+                assert is_polymatroid(h).ok == shannon
+            for a, b, c, d in itertools.combinations(labels, 4):
+                a, b, c, d = (frozenset(x) for x in (a, b, c, d))
+                box = mi(c, d, a) + mi(c, d, b) + mi(a, b, frozenset()) - mi(c, d, frozenset())
+                assert ingleton(h, a, b, c, d) == box
 
 
 def test_torus_examples():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from defent import Approx, DomainError, LogValue, log_of_rat
@@ -208,8 +208,17 @@ def integer_sign(terms) -> int:
     return (up > down) - (up < down)
 
 
+PRIMES_TO_97 = [p for p in range(2, 98) if is_prime(p)]
+
+
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(exponent_maps, exponent_maps)
+# single-signed differences: large coefficients, many primes, Fractions
+@example({p: 10**4 + i for i, p in enumerate(PRIMES_TO_97)}, {})
+@example({}, {p: Fraction(3 * 10**4 + i, 6) for i, p in enumerate(PRIMES_TO_97)})
+@example({5: 10**5, 7: 3}, {5: -2, 11: Fraction(-9, 2)})
+@example({2: Fraction(1, 6), 97: Fraction(7, 4)}, {3: Fraction(-5, 3), 89: Fraction(-1, 5)})
+@example({}, {2: Fraction(1, 2), 3: Fraction(1, 3), 5: Fraction(1, 5), 7: Fraction(1, 7)})
 def test_sign_matches_integer_oracle(a_terms, b_terms):
     a, b = LogValue(a_terms), LogValue(b_terms)
     v = a - b
@@ -217,6 +226,18 @@ def test_sign_matches_integer_oracle(a_terms, b_terms):
     assert v.sign() == s
     assert (-v).sign() == -s
     assert (a < b, a == b, a > b) == (s < 0, s == 0, s > 0)
+
+
+def test_single_signed_values_need_no_enclosure(monkeypatch):
+    def no_enclosures(self):
+        raise AssertionError(f"enclosure read for {self!r}")
+
+    monkeypatch.setattr(LogValue, "_enclosures", no_enclosures)
+    assert LogValue({2: 10**40, 3: Fraction(1, 10**40), 999983: 1}).sign() == 1
+    assert LogValue({p: Fraction(-1, p) for p in PRIMES_TO_97}).sign() == -1
+    assert LogValue({2: -(10**60)}) < LogValue({3: Fraction(1, 7)})
+    with pytest.raises(AssertionError, match="enclosure read"):
+        LogValue({2: 1, 3: -1}).sign()
 
 
 def mpmath_value(terms, base=None):
