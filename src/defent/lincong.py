@@ -14,8 +14,13 @@ linear map x -> A x, so the toric profile must equal the congruence profile
 at m = q - 1 (torus_profile computes it by direct enumeration instead,
 which keeps the two routes independent).
 
-SNF postconditions (S = T A U, |det T| = |det U| = 1, the divisibility
-chain) are verified algebraically on every call.
+Every snf() call verifies its postconditions algebraically: S = T A U,
+|det T| = |det U| = 1, S diagonal, and a nonnegative divisibility chain
+with zeros last.  The diagonals of all row subsets (profile_lincong,
+dirichlet_modulus) come from the minors of one basis of A's column
+lattice, anchored by one such verified snf(A) per matrix: every subset's
+diagonal gets the same chain checks, and the full set's must equal the
+verified one.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -53,6 +59,9 @@ class IntMatrix:
             raise DomainError("one label per row required")
         if len(set(self.labels)) != len(self.labels):
             raise DomainError("row labels must be distinct")
+        for lab in self.labels:
+            if not (isinstance(lab, str) and lab and "," not in lab):
+                raise DomainError(f"row label {lab!r} is not a non-empty string without ','")
 
     @property
     def n(self):
@@ -64,7 +73,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows, labels=None) -> "IntMatrix":
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(tuple(_entry(x) for x in r) for r in rows)
         if labels is None:
             labels = tuple(str(i + 1) for i in range(len(rows)))
         return cls(tuple(labels), rows)
@@ -78,6 +87,15 @@ class IntMatrix:
         if not keep:
             raise DomainError("empty row subset")
         return IntMatrix(tuple(l for l, _ in keep), tuple(r for _, r in keep))
+
+
+def _entry(x) -> int:
+    """A matrix entry as an int.  Bools and non-integer numbers (1.5, 2.0) are refused, not
+    truncated; numpy integers are integers."""
+    if isinstance(x, (bool, np.bool_)) or (isinstance(x, numbers.Number)
+                                            and not isinstance(x, numbers.Integral)):
+        raise DomainError(f"matrix entry {x!r} is not an integer")
+    return int(x)
 
 
 def parse_matrix(text: str) -> IntMatrix:
@@ -268,11 +286,15 @@ def _verify_snf(A, res: SnfResult):
         raise AssertionError("SNF postcondition S = T*A*U failed")
     if abs(_det(T)) != 1 or abs(_det(U)) != 1:
         raise AssertionError("SNF transforms are not unimodular")
-    diag = res.diagonal
     for i in range(n):
         for j in range(d):
             if i != j and S[i][j]:
                 raise AssertionError("SNF result is not diagonal")
+    _check_chain(res.diagonal)
+
+
+def _check_chain(diag):
+    """A Smith diagonal: nonnegative, each entry divides the next, zeros last."""
     for i, s in enumerate(diag):
         if s < 0:
             raise AssertionError("SNF diagonal must be nonnegative")
@@ -292,10 +314,110 @@ def _snf_diagonal(rows: tuple) -> tuple:
 
 @functools.lru_cache(maxsize=1 << 10)
 def _subset_diagonals(matrix: IntMatrix) -> tuple:
-    """SNF diagonal of every row subset, indexed by bitmask (bit i is row i)."""
-    rows, n = matrix.rows, matrix.n
-    return tuple(_snf_diagonal(tuple(rows[i] for i in range(n) if mask >> i & 1)) if mask else ()
-                 for mask in range(1 << n))
+    """SNF diagonal of every row subset, indexed by bitmask (bit i is row i).
+
+    Unimodular column operations keep every row subset's diagonal, so the
+    n x r basis H of A's column lattice (``_lattice_basis``, r the rank) has
+    the diagonals of A.  The k-th determinantal divisor d_k(A_S) is the gcd
+    of the k x k minors of H on rows inside S (``_minor_gcds``,
+    ``_subset_gcds``); the diagonal of A_S is s_k = d_k / d_(k-1), padded
+    with zeros to min(|S|, d) (M. Newman, Integral Matrices, 1972).  One
+    verified snf(A) per matrix anchors them: H must have its rank, and the
+    full set's diagonal must be its diagonal.
+    """
+    n, d = matrix.n, matrix.d
+    full = snf(matrix).diagonal
+    H = _lattice_basis(matrix.rows)
+    if len(H[0]) != sum(1 for s in full if s):
+        raise AssertionError("column reduction and SNF disagree on the rank")
+    divisors = [_subset_gcds(n, g) for g in _minor_gcds(H)]
+    out = [()]
+    for mask in range(1, 1 << n):
+        size, diag, prev = mask.bit_count(), [], 1
+        for table in divisors[:size]:
+            dk = table[mask]
+            s = dk // prev if prev else 0
+            if s * prev != dk:
+                raise AssertionError("determinantal divisors do not divide")
+            diag.append(s)
+            prev = dk
+        diag += [0] * (min(size, d) - len(diag))
+        _check_chain(diag)
+        out.append(tuple(diag))
+    if out[-1] != full:
+        raise AssertionError("subset diagonals disagree with the verified SNF")
+    return tuple(out)
+
+
+def _lattice_basis(rows) -> list:
+    """n x r matrix whose columns are a basis of the lattice spanned by the columns of
+    rows, in column Hermite form.  Row by row, Euclidean column reduction leaves one
+    column with a nonzero entry there; it joins the basis, and the basis columns before
+    it are reduced modulo that entry.  Only unimodular column operations are used, and
+    the entries stay small (those of A T^t, from the SNF transforms, reach thousands of
+    bits on a 10 x 10 matrix)."""
+    basis, rest = [], [list(col) for col in zip(*rows)]
+    for i in range(len(rows)):
+        live = [col for col in rest if col[i]]
+        while len(live) > 1:
+            piv = min(live, key=lambda col: abs(col[i]))
+            for col in live:
+                if col is not piv:
+                    q = col[i] // piv[i]
+                    col[:] = [x - q * y for x, y in zip(col, piv)]
+            live = [col for col in live if col[i]]
+        if live:
+            piv = live[0]
+            rest = [col for col in rest if col is not piv]
+            if piv[i] < 0:
+                piv[:] = [-x for x in piv]
+            for col in basis:
+                q = col[i] // piv[i]
+                col[:] = [x - q * y for x, y in zip(col, piv)]
+            basis.append(piv)
+    return [[col[i] for col in basis] for i in range(len(rows))]
+
+
+def _minor_gcds(H) -> list:
+    """[g_1, ..., g_r] for an n x r matrix H: g_k[R] is the gcd of the k x k minors of H
+    on the rows of bitmask R with |R| = k, and 0 at every other R.  Each k-minor is
+    expanded along its last row from the (k-1)-minors on the rows before it; the
+    minors of a row set are listed in the order of itertools.combinations(range(r), k)."""
+    n, r = len(H), len(H[0])
+    level = {1 << i: list(row) for i, row in enumerate(H)}
+    out = []
+    for k in range(1, r + 1):
+        if k > 1:
+            # per column set: (column j, sign of its last-row cofactor, index of the rest)
+            rest = {cols: q for q, cols in enumerate(itertools.combinations(range(r), k - 1))}
+            expand = [[(j, (-1) ** (k - 1 + p), rest[cols[:p] + cols[p + 1:]])
+                       for p, j in enumerate(cols)]
+                      for cols in itertools.combinations(range(r), k)]
+            nxt = {}
+            for i in range(k - 1, n):
+                row = H[i]
+                cofactors = [[(s * row[j], q) for j, s, q in terms if row[j]] for terms in expand]
+                for rows, prev in level.items():
+                    if rows >> i == 0:
+                        nxt[rows | 1 << i] = [sum([c * prev[q] for c, q in terms])
+                                              for terms in cofactors]
+            level = nxt
+        g = [0] * (1 << n)
+        for rows, minors in level.items():
+            g[rows] = gcd(*minors)
+        out.append(g)
+    return out
+
+
+def _subset_gcds(n: int, g: list) -> list:
+    """D[S] = gcd of g[R] over every R inside S: a gcd zeta transform over bitmasks."""
+    D = list(g)
+    for i in range(n):
+        bit = 1 << i
+        for S in range(1 << n):
+            if S & bit:
+                D[S] = gcd(D[S], D[S ^ bit])
+    return D
 
 
 def _image_order(diagonal, m: int) -> int:
@@ -367,8 +489,8 @@ def profile_lincong(matrix: IntMatrix, m: int) -> Profile:
     makes each marginal exactly uniform on its image.  The exponent matrix
     is built directly, over the primes of m with denominator 1: the row of I
     holds the exponents of |im| = prod_i m / gcd(m, s_i), read from the
-    valuations of m and of the cached SNF diagonal s of A_I, one row per
-    (diagonal, m) in a bounded cache.
+    valuations of m and of the SNF diagonal s of A_I (``_subset_diagonals``,
+    cached per matrix), one row per (diagonal, m) in a bounded cache.
     """
     if m < 2:
         raise DomainError("modulus must be >= 2")

@@ -140,6 +140,7 @@ class Profile:
     def _hold(self, gs, primes, den, cols):
         self.ground_set = gs
         self._index = _subset_index(gs)
+        self._bits = _label_bits(gs)
         self._primes, self._den, self._cols = primes, den, cols
 
     @classmethod
@@ -246,6 +247,12 @@ def _distinct(ground_set) -> tuple:
 
 
 @functools.lru_cache(maxsize=64)
+def _label_bits(gs: tuple) -> dict:
+    """label -> its bit (bit i stands for gs[i])."""
+    return {v: 1 << i for i, v in enumerate(gs)}
+
+
+@functools.lru_cache(maxsize=64)
 def _subset_index(gs: tuple) -> dict:
     """frozenset -> bitmask (bit i stands for gs[i]) for every subset of gs, in bitmask order."""
     index = {frozenset(): 0}
@@ -261,18 +268,21 @@ def zero_profile(ground_set) -> Profile:
 # -- basic functionals -------------------------------------------------------
 
 def _signed_sum(h, terms):
-    """sum of w * h[S] over the (w, S) in terms, w an int or a Fraction: one LinFunctional
-    on ``H``, one LogValue on a Profile (each prime's column read at the terms' bitmasks)."""
+    """sum of w * h[S] over the (w, S) in the sequence terms, w an int or a Fraction: one
+    LinFunctional on ``H`` (every S a label set), one LogValue on a Profile (every S a label
+    set, or every S a bitmask; each prime's column is read at the terms' bitmasks)."""
     if h is H:
         acc = {}
         for w, ks in terms:
             acc[ks] = acc.get(ks, 0) + w
         return LinFunctional(acc)
-    index = h._index
-    try:
-        picked = [(w, index[ks]) for w, ks in terms]
-    except KeyError as exc:
-        raise _unknown_subset(exc.args[0]) from None
+    picked = terms
+    if terms and type(terms[0][1]) is not int:
+        index = h._index
+        try:
+            picked = [(w, index[ks]) for w, ks in terms]
+        except KeyError as exc:
+            raise _unknown_subset(exc.args[0]) from None
     den, out = h._den, {}
     for p, col in zip(h._primes, h._cols):
         c = sum([w * col[mask] for w, mask in picked])
@@ -281,21 +291,33 @@ def _signed_sum(h, terms):
     return LogValue._raw(out)
 
 
+def _arguments(h, args) -> list:
+    """The arguments of a Shannon quantity, as bitmasks on a Profile whose ground set holds
+    all their labels, else as label sets; either way ``|`` is their union."""
+    if h is not H:
+        bits, index = h._bits, h._index
+        try:
+            return [bits[x] if isinstance(x, str) else index[frozenset(x)] for x in args]
+        except KeyError:
+            pass  # label sets, so that _signed_sum names the first unknown subset
+    return [_as_labelset(x) for x in args]
+
+
 def cond_entropy(h: Profile, I, K) -> LogValue:
     """h(I|K) = h(I u K) - h(K)."""
-    i, k = _as_labelset(I), _as_labelset(K)
+    i, k = _arguments(h, (I, K))
     return _signed_sum(h, ((1, i | k), (-1, k)))
 
 
 def cond_mi(h: Profile, I, J, K=()) -> LogValue:
     """h(I:J|K) = h(I u K) + h(J u K) - h(I u J u K) - h(K)."""
-    i, j, k = _as_labelset(I), _as_labelset(J), _as_labelset(K)
+    i, j, k = _arguments(h, (I, J, K))
     return _signed_sum(h, ((1, i | k), (1, j | k), (-1, i | j | k), (-1, k)))
 
 
 def ingleton(h: Profile, A, B, C, D) -> LogValue:
     """The Ingleton expression h(C:D|A) + h(C:D|B) + h(A:B) - h(C:D); h(A), h(B) cancel."""
-    a, b, c, d = (_as_labelset(x) for x in (A, B, C, D))
+    a, b, c, d = _arguments(h, (A, B, C, D))
     return _signed_sum(h, ((1, a | c), (1, a | d), (-1, a | c | d), (1, b | c), (1, b | d),
                            (-1, b | c | d), (-1, a | b), (-1, c), (-1, d), (1, c | d)))
 
@@ -508,7 +530,7 @@ def eval_functional(f: LinFunctional, h: Profile) -> LogValue:
     for ks in f.coeffs:
         if not ks <= full:
             raise DomainError(f"functional uses labels {sorted(ks - full)} outside the profile")
-    return _signed_sum(h, ((c, ks) for ks, c in f.coeffs.items()))
+    return _signed_sum(h, [(c, ks) for ks, c in f.coeffs.items()])
 
 
 # -- the Kaced-Romashchenko closed-form family -----------------------------------

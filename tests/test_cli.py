@@ -216,6 +216,23 @@ def test_exit_codes(capsys, tmp_path, hyp_file, sqrt_file):
         assert code == 3, argv
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("float.json", '{"rows": [[1.5, 2]]}', "matrix entry 1.5 is not an integer"),
+    ("bool.json", '{"rows": [[true, 2]]}', "matrix entry True is not an integer"),
+    ("intlabels.json", '{"labels": [1, 2], "rows": [[1, 2], [3, 4]]}', "row label 1 is"),
+    ("comma.mat", "a,b: 1 2\nc: 3 4\n", "row label 'a,b' is"),
+])
+def test_bad_matrix_entries_and_labels_exit_3(capsys, tmp_path, name, text, message):
+    # each used to print a result (or a traceback) for a matrix the profile code cannot name
+    f = tmp_path / name
+    f.write_text(text)
+    for argv in (["snf", str(f)], ["lincong", str(f), "--m", "5"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "", argv
+        assert captured.err.startswith("defent: ") and message in captured.err, captured.err
+
+
 def test_malformed_functionals_exit_3(capsys, tmp_path):
     # the profile has every label these texts name, so only the parser can reject them
     prof = tmp_path / "prof.json"

@@ -26,7 +26,8 @@ from defent import (
     torus_profile,
     zero_profile,
 )
-from defent.lincong import SnfResult, _det, _verify_snf
+from defent import lincong
+from defent.lincong import SnfResult, _det, _subset_diagonals, _verify_snf
 from defent.polymatroid import subsets
 from test_acceptance import all_subset_image_sizes_bruteforce
 
@@ -165,6 +166,84 @@ def test_profile_lincong_matches_bruteforce(mat):
             assert h[ks] == log_of_rat(size), (mat, m, ks)
     diagonals = (snf(mat.submatrix(ks)).diagonal for ks in subsets(mat.labels) if ks)
     assert dirichlet_modulus(mat) == math.lcm(*(s for diag in diagonals for s in diag if s))
+
+
+@st.composite
+def subset_diagonal_matrices(draw):
+    """1-6 rows of width 1-7, entries up to +-100: zero rows, copied rows, combined rows
+    (rank-deficient) and wide matrices among them."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-100, 100))
+    rows = [draw(st.lists(entry, min_size=d, max_size=d)) for _ in range(n)]
+    for i in range(n):
+        kind = draw(st.sampled_from(("keep", "keep", "zero", "copy", "combine")))
+        if kind == "zero":
+            rows[i] = [0] * d
+        elif kind == "copy":
+            rows[i] = list(rows[draw(st.integers(0, n - 1))])
+        elif kind == "combine" and n > 2:
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows[i] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return IntMatrix.from_rows(rows)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(subset_diagonal_matrices())
+def test_subset_diagonals_match_snf_of_every_subset(mat):
+    diagonals = _subset_diagonals(mat)
+    assert diagonals[0] == ()
+    for mask in range(1, 1 << mat.n):
+        rows = tuple(row for i, row in enumerate(mat.rows) if mask >> i & 1)
+        assert diagonals[mask] == snf(rows).diagonal, (mat, mask)
+    assert dirichlet_modulus(mat) == math.lcm(*(s for diag in diagonals for s in diag if s))
+
+
+def test_subset_diagonals_reject_a_wrong_snf(monkeypatch):
+    real = lincong.snf
+
+    def wrong(matrix):
+        res = real(matrix)
+        S = [list(row) for row in res.S]
+        S[0][0] *= 2
+        return SnfResult(tuple(map(tuple, S)), res.T, res.U)
+
+    monkeypatch.setattr(lincong, "snf", wrong)
+    with pytest.raises(AssertionError, match="verified SNF"):
+        _subset_diagonals.__wrapped__(PAPER_MATRIX)
+
+
+def test_subset_diagonals_reject_a_corrupted_minor_table(monkeypatch):
+    real = lincong._minor_gcds
+
+    def corrupt(level, mask, change):
+        def table(H):
+            out = real(H)
+            out[level][mask] = change(out[level][mask])
+            return out
+        return table
+
+    # the 4 x 4 minors of the full row set, doubled: the full set's diagonal moves
+    monkeypatch.setattr(lincong, "_minor_gcds", corrupt(3, 0b1111, lambda g: 2 * g))
+    with pytest.raises(AssertionError, match="verified SNF"):
+        _subset_diagonals.__wrapped__(PAPER_MATRIX)
+    # rows (2, 4) and (6, 8) have row gcd 2; a 2 x 2 minor gcd of 3 is not a multiple
+    monkeypatch.setattr(lincong, "_minor_gcds", corrupt(1, 0b11, lambda g: 3))
+    with pytest.raises(AssertionError, match="do not divide"):
+        _subset_diagonals.__wrapped__(IntMatrix.from_rows([(2, 4), (6, 8)]))
+
+
+def test_intmatrix_rejects_non_integers_and_bad_labels():
+    import numpy as np
+
+    assert IntMatrix.from_rows(np.array([[2, 4], [6, 8]])).rows == ((2, 4), (6, 8))
+    for rows in ([[1.5, 2]], [[True, 2]], [[2.0, 1]], [[Fraction(1, 2), 1]], [[np.bool_(True), 1]]):
+        with pytest.raises(DomainError, match="not an integer"):
+            IntMatrix.from_rows(rows)
+    for labels in ((1, 2), ("a,b", "c"), ("", "c"), (None, "c")):
+        with pytest.raises(DomainError, match="row label"):
+            IntMatrix.from_rows([[1], [2]], labels)
+    with pytest.raises(DomainError, match="row label 'a,b'"):
+        parse_matrix("a,b: 1 2\nc: 3 4\n")
 
 
 def test_profile_lincong_paper_matrix():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,22 @@ def test_identity_between_functionals():
             assert eval_functional(parse_functional(f"ING({i}:{j}|{k}:{rest})"), h) == ingleton(
                 h, I, J, K, gs[2:]
             )
+
+
+def test_shannon_quantities_read_bitmasks_and_name_unknown_subsets():
+    h = random_entropic_profile(random.Random(5))
+    # a label, a list, a set and a tuple name the same subsets as their label sets do
+    for f, args in ((cond_entropy, ("u", ["v", "w"])), (cond_mi, ({"u"}, ("v",), ["w"])),
+                    (ingleton, ("u", ["v"], {"w"}, ("u", "w")))):
+        sets = [frozenset((a,)) if isinstance(a, str) else frozenset(a) for a in args]
+        assert f(h, *args) == eval_functional(f(H, *sets), h)
+    # an unknown label names the first term's subset that leaves the ground set
+    for f, args, text in ((cond_entropy, ("u", "x"), "['u', 'x']"),
+                          (cond_mi, ("u", "v", ["x", "w"]), "['u', 'w', 'x']"),
+                          (ingleton, ("u", "v", "w", "x"), "['u', 'x']"),
+                          (ingleton, ("x", "v", "w", "u"), "['w', 'x']")):
+        with pytest.raises(DomainError, match=re.escape(f"unknown subset {text}")):
+            f(h, *args)
 
 
 def test_ingleton_examples(two_bits):
