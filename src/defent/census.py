@@ -23,8 +23,21 @@ an exact LogValue because all counts are integers.
 Fiber sizes come from flat keys: a subset's columns read as base-q
 digits.  When the key space q^|I| is at most 4|X|, ``bincount`` of the
 keys gives the fiber sizes directly; sparser key spaces are sorted and
-measured in runs.  ``entropy_profile`` walks the subsets depth first, so
-each subset's keys are its parent's keys times q plus one more column.
+measured in runs.
+
+``entropy_profile`` walks the subsets depth first over increasing column
+tuples, so each subset's keys are its parent's keys times q plus one more
+column.  Each node visits its children in decreasing column order, which
+settles every proper subset of a node before the node itself.  An entry
+h(S) depends only on the partition of X that the projection onto S
+induces, and the walk keeps D(S), that partition's number of blocks (the
+nonempty fibers).  Since S refines S - c, D(S) = D(S - c) exactly when
+the two partitions are equal, that is, when the column c is a function of
+the columns S - c on X.  Such a dependency holds in every superset of S.
+So a subset that contains a column c found dependent in one of its
+immediate subsets copies the entry and the D of S - c, and so does its
+whole subtree: no keys, sort or bincount.  The copy is exact, not a
+heuristic: equal block counts are equal partitions.
 """
 
 from __future__ import annotations
@@ -170,28 +183,52 @@ def entropy_profile(dset: DefinableSet, spec: FieldSpec, *, jobs: int = 1,
     """Exact entropy profile of the uniform distribution on X(G).
 
     One enumeration pass collects the points.  The 2^n - 1 marginals are
-    walked depth first over increasing column tuples, so each subset's
-    keys are its parent's keys times q plus one more column.
+    walked depth first over increasing column tuples, so each subset's keys
+    are its parent's keys times q plus one more column, and each node
+    visits its children in decreasing column order, so every proper subset
+    of a node is settled before the node.  Each subset S records D(S), its
+    number of nonempty fibers, and the columns c of S with D(S) = D(S - c).
+    S refines S - c, so equal block counts mean equal partitions: those c
+    are exactly the columns that are functions of S - c on X, and they stay
+    so in every superset.  A node holding such a column c of one of its
+    immediate subsets copies the row and the D of S - c, exactly, and so
+    does its whole subtree; only the other nodes key, sort or bincount
+    their columns (``_histogram_from_points``).
     """
     points = collect_points(dset, spec, jobs=jobs, max_evals=max_evals)
-    total = int(points.shape[1])
-    if total == 0:
+    if points.shape[1] == 0:
         raise DomainError(f"empty definable set: {dset.name} over {spec!r}")
-    labels, q = dset.free_vars, spec.q
-    rows = [{}] * (1 << len(labels))
+    return _profile_of_points(points, dset.free_vars, spec.q)
+
+
+def _profile_of_points(points, labels, q) -> Profile:
+    """The marginal walk of ``entropy_profile`` over a nonempty points array: one row
+    per label, entries in [0, q), the distribution uniform on the columns."""
+    total, n = int(points.shape[1]), len(labels)
+    rows = [{}] * (1 << n)
+    blocks = [1] + [0] * ((1 << n) - 1)  # D(S); the empty projection has one block
+    dependent = [0] * (1 << n)           # bits c in S with D(S) = D(S - c)
     memo = {}  # bucket items -> entropy row: marginals repeat a few fiber histograms
 
     def walk(cols, keys, mask):
-        for c in range(cols[-1] + 1 if cols else 0, len(labels)):
-            sub = cols + (c,)
-            child = points[c] if keys is None else keys * q + points[c]
-            buckets = _histogram_from_points(points, sub, [labels[j] for j in sub], q,
-                                             child).buckets
-            key = tuple(buckets.items())
-            if key not in memo:
-                memo[key] = entropy_numerators(buckets, total)
-            rows[mask | 1 << c] = memo[key]
-            walk(sub, child, mask | 1 << c)
+        for c in range(n - 1, cols[-1] if cols else -1, -1):
+            sub, m = cols + (c,), mask | 1 << c
+            inherited = 0
+            for d in sub:
+                inherited |= dependent[m ^ 1 << d]
+            if inherited:
+                src = m ^ (inherited & -inherited)
+                rows[m], blocks[m], child = rows[src], blocks[src], None
+            else:  # a copied node has only copied descendants, so keys is never None here
+                child = keys * q + points[c] if cols else points[c]
+                buckets = _histogram_from_points(points, sub, [labels[j] for j in sub], q,
+                                                 child).buckets
+                key = tuple(buckets.items())
+                if key not in memo:
+                    memo[key] = entropy_numerators(buckets, total)
+                rows[m], blocks[m] = memo[key], sum(buckets.values())
+            dependent[m] = sum(1 << d for d in sub if blocks[m ^ 1 << d] == blocks[m])
+            walk(sub, child, m)
 
     walk((), None, 0)
     return Profile._of_rows(labels, rows, total)

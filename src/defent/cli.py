@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -21,6 +22,8 @@ from .gf import field
 from .logval import LogValue
 from .polymatroid import Profile
 from .ringlang import ParseError, parse_set
+
+_quote = json.encoder.encode_basestring_ascii
 
 
 def _read(path: str) -> str:
@@ -56,8 +59,66 @@ def _profile_json(profile: Profile, base=None) -> dict:
     return obj
 
 
+_KEYWORDS = {None: "null", True: "true", False: "false"}
+
+
+def _float_json(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _write_json(obj, newline: str, out: list) -> None:
+    """Append the text of obj to out as ``json.dumps(obj, sort_keys=True, indent=2)``
+    spells it, obj's first line already begun and newline the indent of its last."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append(_KEYWORDS[obj])
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_json(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for k, v in sorted(obj.items()):
+            if not isinstance(k, str):  # every command's keys are strings
+                raise TypeError(f"keys must be str, not {k.__class__.__name__}")
+            out += (sep, _quote(k), ": ")
+            if type(v) is str:  # most leaves: skip the call
+                out.append(_quote(v))
+            else:
+                _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for v in obj:
+            out.append(sep)
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
 def _emit(args, obj) -> int:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Write obj as ``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline, byte for
+    byte; with ``indent`` the stdlib runs its pure-Python encoder, so the text is built here."""
+    out = []
+    _write_json(obj, "\n", out)
+    out.append("\n")
+    text = "".join(out)
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

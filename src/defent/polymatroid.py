@@ -87,9 +87,23 @@ def entries_to_json(ground_set, entries) -> dict:
 
 
 def entries_from_json(obj) -> dict:
-    """The inverse of entries_to_json."""
-    return {parse_subset_key(k): None if v is None else LogValue.from_json(v)
-            for k, v in obj.items()}
+    """The inverse of entries_to_json.  Each distinct ``terms`` object is decoded once
+    per call: a profile repeats a few entries many times."""
+    decoded = {}  # terms items -> LogValue
+
+    def value(v):
+        if not (isinstance(v, dict) and isinstance(v.get("terms"), dict)):
+            return None if v is None else LogValue.from_json(v)  # None, or the shape error
+        key = tuple(v["terms"].items())
+        try:
+            return decoded[key]
+        except KeyError:
+            decoded[key] = out = LogValue.from_json(v)
+            return out
+        except TypeError:  # an unhashable coefficient, which LogValue.from_json names
+            return LogValue.from_json(v)
+
+    return {parse_subset_key(k): value(v) for k, v in obj.items()}
 
 
 class Profile:
@@ -203,16 +217,21 @@ class Profile:
         return f"Profile(n={len(self.ground_set)}, labels={self.ground_set})"
 
     def to_json(self) -> dict:
-        """Each entry's JSON (``LogValue.to_json``) spelled from its row: e/den in lowest terms."""
+        """Each entry's JSON (``LogValue.to_json``) spelled from its row: e/den in lowest
+        terms.  Each distinct row is spelled once, and equal rows share that JSON object."""
         den, keys = self._den, [str(p) for p in self._primes]
+        spelled = {}  # row -> its entry JSON
 
         def terms(mask):
-            out = {}
-            for key, col in zip(keys, self._cols):
-                if col[mask]:
-                    g = math.gcd(col[mask], den)
-                    out[key] = f"{col[mask] // g}/{den // g}"
-            return {"terms": out}
+            row = tuple([col[mask] for col in self._cols])
+            if row not in spelled:
+                out = {}
+                for key, e in zip(keys, row):
+                    if e:
+                        g = math.gcd(e, den)
+                        out[key] = f"{e // g}/{den // g}"
+                spelled[row] = {"terms": out}
+            return spelled[row]
 
         return {
             "ground_set": list(self.ground_set),
@@ -337,10 +356,17 @@ def _elemental_rows(n: int) -> tuple:
     order: h(i|rest) as (N, 0, N - i, 0), then h(a:b|K) as (aK, bK, abK, K)."""
     full = (1 << n) - 1
     rows = [(full, 0, full ^ 1 << i, 0) for i in range(n)]
+    # the subsets K of n - 2 positions in ``subsets`` order, as bitmasks; for the pair
+    # a < b, position i stands for the i-th of the other variables, so zero bits are
+    # spread in at a and at b
+    rest = [sum(comb) for r in range(n - 1)
+            for comb in itertools.combinations([1 << i for i in range(n - 2)], r)]
     for a, b in itertools.combinations(range(n), 2):
-        for ks in subsets(v for v in range(n) if v not in (a, b)):
-            k = sum(1 << v for v in ks)
-            rows.append((k | 1 << a, k | 1 << b, k | 1 << a | 1 << b, k))
+        low_a, low_b, ab = (1 << a) - 1, (1 << b) - 1, 1 << a | 1 << b
+        for k in rest:
+            k = k & low_a | (k & ~low_a) << 1
+            k = k & low_b | (k & ~low_b) << 1
+            rows.append((k | 1 << a, k | 1 << b, k | ab, k))
     return tuple(rows)
 
 

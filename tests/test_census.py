@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_enumeration import fuzz_cases
 
 from defent import (
@@ -27,7 +28,8 @@ from defent import (
     tower_census,
 )
 from defent import ringlang as rl
-from defent.census import CensusTable, collect_points
+from defent import census
+from defent.census import CensusTable, _profile_of_points, collect_points
 from defent.enumeration import _chunk_plan, _plan, _Plan
 from defent.polymatroid import Profile
 
@@ -158,6 +160,142 @@ def test_entropy_profile_matches_joint_table(case):
     want = oracle_profile(dset, spec)
     for ks in want.subsets():
         assert got[ks] == want[ks], (rl.set_str(dset), spec, sorted(ks))
+
+
+# -- the marginal walk's functional-dependency pruning --------------------------
+
+PRUNING_FIELDS = (field(2), field(3), field(5), field(7), field(2, 2), field(3, 2))
+
+DEPENDENCY_SETS = [
+    # a chain of graphs: each dependent column is a function of one earlier subset only
+    "set G(x, y, z, w) := y = x^2 /\\ z = x + y /\\ w = y*z",
+    # constant columns, interleaved with free ones
+    "set K(x, c, y, d) := c = 1 /\\ d = 0 /\\ x*y != 1",
+    # copied columns
+    "set Cp(x, u, y, v, w) := u = x /\\ v = y /\\ w = x*y /\\ x != 1",
+    # injective subsets: {s, t} and {x, y} determine everything in odd characteristic
+    "set In(x, y, s, t, p) := s = x + y /\\ t = x - y /\\ p = x*y",
+    # a column tied to the others by a relation, not a graph
+    "set L(a, b, c, d, e, f) := c = a + b /\\ d = a*b /\\ e = c^2 - d /\\ exists t. t^2 = f + a",
+    "set S(x, y, z, u, v, w, t) := z = x*y /\\ u = x + y /\\ v = z + u /\\ w = 0 /\\ t = v^2",
+]
+
+
+@pytest.mark.parametrize("text", DEPENDENCY_SETS, ids=lambda t: t.split("(")[0][4:])
+def test_pruned_walk_matches_oracle_on_dependency_rich_sets(text):
+    d = parse_set(text)
+    specs = [s for s in PRUNING_FIELDS if s.q ** len(d.free_vars) <= 17000]
+    assert len(specs) >= 3
+    for spec in specs:
+        assert entropy_profile(d, spec) == oracle_profile(d, spec), (text, spec)
+
+
+@st.composite
+def dependency_graphs(draw):
+    """A set of 4-7 variables, each free, constant, a copy of an earlier one, or the sum
+    or product of two earlier ones, optionally cut by x != y; a field small enough for
+    the oracle."""
+    spec = draw(st.sampled_from(PRUNING_FIELDS))
+    n = draw(st.integers(4, 7).filter(lambda n: spec.q ** n <= 4096))
+    names = [f"v{i}" for i in range(n)]
+    atoms = []
+    for i, v in enumerate(names):
+        kind = draw(st.sampled_from(("free", "const", "copy", "sum", "product"))) if i else "free"
+        if kind == "free":
+            atoms.append(f"{v} = {v}")  # every declared variable must occur
+        elif kind == "const":
+            atoms.append(f"{v} = {draw(st.integers(0, 2))}")
+        elif kind == "copy":
+            atoms.append(f"{v} = {draw(st.sampled_from(names[:i]))}")
+        elif kind in ("sum", "product"):
+            a, b = draw(st.sampled_from(names[:i])), draw(st.sampled_from(names[:i]))
+            atoms.append(f"{v} = {a} {'+' if kind == 'sum' else '*'} {b}")
+    if draw(st.booleans()):
+        atoms.append(f"{names[0]} != {names[-1]}")
+    body = " /\\ ".join(atoms)
+    return parse_set(f"set R({', '.join(names)}) := {body}"), spec
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(dependency_graphs())
+def test_pruned_walk_matches_oracle_on_random_graphs(case):
+    dset, spec = case
+    try:
+        got = entropy_profile(dset, spec)
+    except DomainError:
+        assert oracle_count(dset, spec) == 0
+        return
+    assert got == oracle_profile(dset, spec), (rl.set_str(dset), spec)
+
+
+def counter_profile(points, labels):
+    """Entropies of the uniform distribution on the columns, one Counter per subset."""
+    columns = list(zip(*points.tolist()))
+    total = len(columns)
+    entries = {}
+    for r in range(len(labels) + 1):
+        for comb in itertools.combinations(range(len(labels)), r):
+            counts = Counter(tuple(col[i] for i in comb) for col in columns)
+            h = LogValue.zero()
+            for c in counts.values():
+                h = h + log_of_rat(Fraction(total, c)).scale(Fraction(c, total))
+            entries[frozenset(labels[i] for i in comb)] = h
+    return Profile(labels, entries)
+
+
+@st.composite
+def dependent_point_arrays(draw):
+    """Distinct points whose columns are free, constant, copies, or tabulated functions
+    of one or two earlier columns."""
+    q = draw(st.sampled_from((2, 3, 5, 11)))
+    n = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for i in range(n):
+        kind = draw(st.sampled_from(("free", "const", "copy", "function"))) if i else "free"
+        m = draw(st.integers(1, 60))
+        if kind == "free":
+            rows.append(rng.integers(0, q, m if not rows else rows[0].shape[0]))
+        elif kind == "const":
+            rows.append(np.full(rows[0].shape[0], draw(st.integers(0, q - 1))))
+        elif kind == "copy":
+            rows.append(rows[draw(st.integers(0, i - 1))].copy())
+        else:
+            a, b = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            table = rng.integers(0, q, (q, q))
+            rows.append(table[rows[a], rows[b]])
+    points = np.unique(np.array(rows, dtype=np.int64), axis=1)
+    return points, tuple(f"c{i}" for i in range(n)), q
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(dependent_point_arrays())
+def test_pruned_walk_matches_counter_oracle_on_point_arrays(case):
+    points, labels, q = case
+    assert _profile_of_points(points, labels, q) == counter_profile(points, labels)
+
+
+def marginals_computed(monkeypatch, dset, spec):
+    """How many marginals entropy_profile keys and measures."""
+    calls = []
+    kernel = census._histogram_from_points
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(census, "_histogram_from_points", counted)
+    entropy_profile(dset, spec)
+    monkeypatch.setattr(census, "_histogram_from_points", kernel)
+    return len(calls)
+
+
+def test_pruned_walk_counts(monkeypatch, kr_set):
+    # KR's a2, b2 and d0 are functions of the other columns: 97 of 511 marginals are copies
+    assert marginals_computed(monkeypatch, kr_set, field(5)) == 414
+    # no column is a function of any other columns: every marginal is computed
+    free = parse_set("set Free(x, y, z, w) := x*y*z*w != 1")
+    assert marginals_computed(monkeypatch, free, field(3)) == 2**4 - 1
 
 
 def test_marginal_distribution_examples(hyp_set):

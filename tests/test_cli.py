@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import defent
-from defent.cli import build_parser, main
+from defent.cli import _emit, build_parser, main
 from conftest import HYP_TEXT, KR_TEXT, SQRT_TEXT
 
 PAPER_MATRIX_TEXT = "1 0 2 3 0\n2 9 7 7 7\n9 3 3 3 0\n2 2 7 7 7\n"
@@ -327,3 +332,33 @@ def test_more_variables_than_numpy_axes_exits_3(capsys, tmp_path):
         assert err.startswith("defent: ") and "65 variables" in err
     f.write_text(f"set W(x) := {quantifiers}x = 0")  # vacuous quantifiers need no axis
     assert run_json(capsys, ["count", str(f), "--p", "3"])["rows"][0]["count"] == 1
+
+
+json_leaves = (st.none() | st.booleans() | st.integers(-10**40, 10**40)
+               | st.floats(allow_nan=True, allow_infinity=True) | st.text())
+json_trees = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(json_trees)
+def test_emit_writes_what_json_dumps_writes(obj):
+    # non-ASCII text, empty containers, nesting, bools, None, large ints, floats
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert _emit(SimpleNamespace(), obj) == 0
+    assert buf.getvalue() == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_emit_edge_cases_and_refusals(tmp_path):
+    obj = {"é": [(), {}, (1, "\u2603")], "": {"b": None, "a": [True, False, 2**70]},
+           "floats": [0.1, -0.0, 1e300, float("inf"), float("-inf"), float("nan")]}
+    out = tmp_path / "o.json"
+    _emit(SimpleNamespace(output=str(out)), obj)
+    assert out.read_text(encoding="utf-8") == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    for bad in ({"x": {1, 2}}, [object()], {(1,): 2}, {1: "a"}):  # the writer takes str keys only
+        with pytest.raises(TypeError):
+            _emit(SimpleNamespace(output=str(out)), bad)

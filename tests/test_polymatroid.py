@@ -29,7 +29,7 @@ from defent import (
     scan_threshold,
     zero_profile,
 )
-from defent.polymatroid import H, LinFunctional, label_order, subset_key, subsets
+from defent.polymatroid import H, LinFunctional, _elemental_rows, label_order, subset_key, subsets
 
 Z = LogValue.zero()
 L2 = log_of_rat(2)
@@ -549,3 +549,14 @@ def test_functionals_unknown_label(two_bits):
                  lambda: ingleton(two_bits, "1", "2", "1", ("2", "x"))):
         with pytest.raises(DomainError, match="unknown subset"):
             call()
+
+
+def test_elemental_rows_match_a_subset_walk():
+    for n in range(10):
+        full = (1 << n) - 1
+        want = [(full, 0, full ^ 1 << i, 0) for i in range(n)]
+        for a, b in itertools.combinations(range(n), 2):
+            for ks in subsets(v for v in range(n) if v not in (a, b)):
+                k = sum(1 << v for v in ks)
+                want.append((k | 1 << a, k | 1 << b, k | 1 << a | 1 << b, k))
+        assert _elemental_rows(n) == tuple(want), n
