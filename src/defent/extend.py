@@ -23,7 +23,7 @@ from itertools import repeat
 from math import lcm
 
 from .errors import DomainError, malformed
-from .logval import LogValue, _canon, log_of_rat
+from .logval import LogValue, log_of_rat
 from .polymatroid import (
     H,
     Profile,
@@ -149,12 +149,6 @@ def entropy_numerators(counts: dict, total: int) -> dict:
             for p, e in log_of_rat(n)._terms.items():
                 num[p] = num.get(p, 0) - e * k * n
     return {p: c for p, c in num.items() if c}
-
-
-def entropy_of_counts(counts: dict, total: int) -> LogValue:
-    """log total - (1/total) sum k n log n: total equal points in k blocks of each size n."""
-    return LogValue._raw({p: _canon(Fraction(c, total))
-                          for p, c in entropy_numerators(counts, total).items()})
 
 
 def dist_entropy_profile(p: Distribution) -> Profile:

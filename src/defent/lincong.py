@@ -14,11 +14,14 @@ linear map x -> A x, so the toric profile must equal the congruence profile
 at m = q - 1 (torus_profile computes it by direct enumeration instead,
 which keeps the two routes independent).
 
+One Euclidean reduction serves both computations below: the column
+Hermite form (``_hermite``).  snf() alternates it on the columns and the
+rows of A, and the lattice basis of A's columns is its nonzero columns.
 Every snf() call verifies its postconditions algebraically: S = T A U,
 |det T| = |det U| = 1, S diagonal, and a nonnegative divisibility chain
-with zeros last.  The diagonals of all row subsets (profile_lincong,
-dirichlet_modulus) come from the minors of one basis of A's column
-lattice, anchored by one such verified snf(A) per matrix: every subset's
+with zeros last.  The diagonals of all row subsets (image_size,
+profile_lincong, dirichlet_modulus) come from the minors of that lattice
+basis, anchored by one such verified snf(A) per matrix: every subset's
 diagonal gets the same chain checks, and the full set's must equal the
 verified one.
 """
@@ -90,10 +93,9 @@ class IntMatrix:
 
 
 def _entry(x) -> int:
-    """A matrix entry as an int.  Bools and non-integer numbers (1.5, 2.0) are refused, not
-    truncated; numpy integers are integers."""
-    if isinstance(x, (bool, np.bool_)) or (isinstance(x, numbers.Number)
-                                            and not isinstance(x, numbers.Integral)):
+    """A matrix entry as an int.  Bools, strings ("3") and non-integer numbers (1.5, 2.0)
+    are refused, not converted; numpy integers are integers."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
         raise DomainError(f"matrix entry {x!r} is not an integer")
     return int(x)
 
@@ -187,94 +189,80 @@ def _det(M):
 def snf(matrix) -> SnfResult:
     """Smith normal form with unimodular transforms: S = T A U.
 
-    gcd-driven row/column reduction with pivot normalization to a
-    nonnegative diagonal; the divisibility chain is enforced by folding
-    non-divisible entries of the trailing block into the pivot row.
-    Postconditions are verified before returning.
+    Column passes (column Hermite form of S, the same operations applied to
+    U) alternate with row passes (the same on the rows of S and T) until S
+    is diagonal, with a nonnegative diagonal and zeros last.  Where an entry
+    s_i does not divide a later s_j, row j is added to row i and the passes
+    resume.  Hermite passes keep S, T and U small, where pivot-and-divide
+    elimination lets them swell (Kannan & Bachem, SIAM J. Comput. 8, 1979).
+
+    Why the loop ends: let t be the first position whose row or column of S
+    holds an off-diagonal entry.  A row pass leaves S[t][t] the gcd of column
+    t from row t down, the next column pass the gcd of row t; so over two passes
+    S[t][t] either falls or divides all of row t and column t, and then those
+    are cleared for good.  A fold at the first s_i that does not divide a
+    later s_j keeps s_1..s_(i-1) and lowers s_i to at most gcd(s_i, s_j).
+    Positive integers cannot fall forever.  Postconditions are verified
+    before returning.
     """
     A = matrix.rows if isinstance(matrix, IntMatrix) else tuple(matrix)
     n, d = len(A), len(A[0])
-    S = [list(map(int, row)) for row in A]
-    T = _identity(n)
-    U = _identity(d)
-
-    def row_add(i, j, c):
-        S[i] = [x + c * y for x, y in zip(S[i], S[j])]
-        T[i] = [x + c * y for x, y in zip(T[i], T[j])]
-
-    def col_add(i, j, c):
-        for r in range(n):
-            S[r][i] += c * S[r][j]
-        for r in range(d):
-            U[r][i] += c * U[r][j]
-
-    def row_swap(i, j):
-        S[i], S[j] = S[j], S[i]
-        T[i], T[j] = T[j], T[i]
-
-    def col_swap(i, j):
-        for r in range(n):
-            S[r][i], S[r][j] = S[r][j], S[r][i]
-        for r in range(d):
-            U[r][i], U[r][j] = U[r][j], U[r][i]
-
-    def row_negate(i):
-        S[i] = [-x for x in S[i]]
-        T[i] = [-x for x in T[i]]
-
-    k = min(n, d)
-    for t in range(k):
-        # smallest nonzero entry of the trailing block becomes the pivot
-        best = None
-        for i in range(t, n):
-            for j in range(t, d):
-                if S[i][j] and (best is None or abs(S[i][j]) < abs(S[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    S, T, U = [list(map(int, row)) for row in A], _identity(n), _identity(d)
+    by_rows = False
+    while True:
+        if by_rows:
+            ST = _hermite([s + t for s, t in zip(S, T)], d)
+            S, T = [row[:d] for row in ST], [row[d:] for row in ST]
+        else:
+            SU = [list(row) for row in zip(*_hermite([list(c) for c in zip(*S, *U)], n))]
+            S, U = SU[:n], SU[n:]
+        by_rows = not by_rows
+        if any(x for i, row in enumerate(S) for j, x in enumerate(row) if i != j):
+            continue
+        diag = [S[i][i] for i in range(min(n, d))]
+        fold = next(((i, j) for i, s in enumerate(diag) for j in range(i + 1, len(diag))
+                     if s and diag[j] % s), None)
+        if fold is None:
             break
-        if best[0] != t:
-            row_swap(t, best[0])
-        if best[1] != t:
-            col_swap(t, best[1])
-        while True:
-            # clear column t and row t by division; remainders become pivots
-            restart = False
-            for i in range(t + 1, n):
-                if S[i][t]:
-                    q = S[i][t] // S[t][t]
-                    row_add(i, t, -q)
-                    if S[i][t]:
-                        row_swap(t, i)
-                        restart = True
-            if restart:
-                continue
-            for j in range(t + 1, d):
-                if S[t][j]:
-                    q = S[t][j] // S[t][t]
-                    col_add(j, t, -q)
-                    if S[t][j]:
-                        col_swap(t, j)
-                        restart = True
-            if restart:
-                continue
-            # fold in any trailing entry the pivot does not divide
-            folded = False
-            piv = S[t][t]
-            for i in range(t + 1, n):
-                if any(x % piv for x in S[i][t + 1:]):
-                    row_add(t, i, 1)
-                    folded = True
-                    break
-            if not folded:
-                break
-        if S[t][t] < 0:
-            row_negate(t)
+        i, j = fold
+        S[i] = [x + y for x, y in zip(S[i], S[j])]
+        T[i] = [x + y for x, y in zip(T[i], T[j])]
+        by_rows = False
 
     result = SnfResult(
         tuple(tuple(r) for r in S), tuple(tuple(r) for r in T), tuple(tuple(r) for r in U)
     )
     _verify_snf(A, result)
     return result
+
+
+def _hermite(vectors, k) -> list:
+    """Column Hermite form on the first k coordinates, by unimodular operations on
+    the vectors (lists, changed in place; entries past the k-th are carried along).
+    Coordinate by coordinate, Euclidean reduction leaves one vector with a nonzero
+    entry there; it becomes a pivot, made positive, and the pivots before it are
+    reduced modulo that entry.  Returns the pivots in order of their coordinate,
+    then the vectors that are zero on the first k coordinates, in their order."""
+    pivots, rest = [], vectors
+    for i in range(k):
+        live = [v for v in rest if v[i]]
+        while len(live) > 1:
+            piv = min(live, key=lambda v: abs(v[i]))
+            for v in live:
+                if v is not piv:
+                    q = v[i] // piv[i]
+                    v[:] = [x - q * y for x, y in zip(v, piv)]
+            live = [v for v in live if v[i]]
+        if live:
+            piv = live[0]
+            rest = [v for v in rest if v is not piv]
+            if piv[i] < 0:
+                piv[:] = [-x for x in piv]
+            for v in pivots:
+                q = v[i] // piv[i]
+                v[:] = [x - q * y for x, y in zip(v, piv)]
+            pivots.append(piv)
+    return pivots + rest
 
 
 def _verify_snf(A, res: SnfResult):
@@ -305,12 +293,6 @@ def _check_chain(diag):
 
 
 # -- image sizes and profiles ----------------------------------------------------
-
-@functools.lru_cache(maxsize=1 << 16)
-def _snf_diagonal(rows: tuple) -> tuple:
-    """Cached SNF diagonal; image sizes for many moduli share one reduction."""
-    return snf(rows).diagonal
-
 
 @functools.lru_cache(maxsize=1 << 10)
 def _subset_diagonals(matrix: IntMatrix) -> tuple:
@@ -351,30 +333,9 @@ def _subset_diagonals(matrix: IntMatrix) -> tuple:
 
 def _lattice_basis(rows) -> list:
     """n x r matrix whose columns are a basis of the lattice spanned by the columns of
-    rows, in column Hermite form.  Row by row, Euclidean column reduction leaves one
-    column with a nonzero entry there; it joins the basis, and the basis columns before
-    it are reduced modulo that entry.  Only unimodular column operations are used, and
-    the entries stay small (those of A T^t, from the SNF transforms, reach thousands of
-    bits on a 10 x 10 matrix)."""
-    basis, rest = [], [list(col) for col in zip(*rows)]
-    for i in range(len(rows)):
-        live = [col for col in rest if col[i]]
-        while len(live) > 1:
-            piv = min(live, key=lambda col: abs(col[i]))
-            for col in live:
-                if col is not piv:
-                    q = col[i] // piv[i]
-                    col[:] = [x - q * y for x, y in zip(col, piv)]
-            live = [col for col in live if col[i]]
-        if live:
-            piv = live[0]
-            rest = [col for col in rest if col is not piv]
-            if piv[i] < 0:
-                piv[:] = [-x for x in piv]
-            for col in basis:
-                q = col[i] // piv[i]
-                col[:] = [x - q * y for x, y in zip(col, piv)]
-            basis.append(piv)
+    rows: the nonzero columns of their column Hermite form (``_hermite``), whose
+    entries stay small."""
+    basis = [col for col in _hermite([list(c) for c in zip(*rows)], len(rows)) if any(col)]
     return [[col[i] for col in basis] for i in range(len(rows))]
 
 
@@ -420,13 +381,6 @@ def _subset_gcds(n: int, g: list) -> list:
     return D
 
 
-def _image_order(diagonal, m: int) -> int:
-    """prod_i m / gcd(m, s_i), with gcd(m, 0) = m."""
-    if m < 2:
-        raise DomainError("modulus must be >= 2")
-    return prod(m // gcd(m, s) for s in diagonal)
-
-
 @functools.lru_cache(maxsize=1 << 8)
 def _valuations(m: int) -> tuple:
     """(p, v_p(m)) for every prime p of m, ascending."""
@@ -451,8 +405,12 @@ def _image_exponents(diagonal, m: int) -> tuple:
 
 
 def image_size(matrix: IntMatrix, m: int) -> int:
-    """Order of the column span of A mod m inside (Z/m)^n, via SNF."""
-    return _image_order(_snf_diagonal(matrix.rows), m)
+    """Order of the column span of A mod m inside (Z/m)^n, from the verified SNF
+    diagonal of A (the full set's entry of ``_subset_diagonals``)."""
+    if m < 2:
+        raise DomainError("modulus must be >= 2")
+    exponents = _image_exponents(_subset_diagonals(matrix)[-1], m)
+    return prod(p**e for (p, _), e in zip(_valuations(m), exponents))
 
 
 def image_size_bruteforce(matrix: IntMatrix, m: int) -> int:

@@ -54,9 +54,13 @@ def test_golden_case(case, tmp_path):
 
 if __name__ == "__main__":
     expected = GOLDEN / "expected"
+    before = {p.name: p.read_bytes() for p in expected.glob("*")}
     shutil.rmtree(expected, ignore_errors=True)
     expected.mkdir()
     for name, *argv in CASES:
         with tempfile.TemporaryDirectory() as tmp:
-            for suffix, data in run_case(argv, tmp).items():
-                (expected / f"{name}{suffix}").write_bytes(data)
+            got = {f"{name}{suffix}": data for suffix, data in run_case(argv, tmp).items()}
+        for file, data in got.items():
+            (expected / file).write_bytes(data)
+        if got != {file: data for file, data in before.items() if Path(file).stem == name}:
+            print(name)

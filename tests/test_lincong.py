@@ -50,17 +50,14 @@ def test_snf_diag_example():
     assert r.diagonal == (1, 6)
 
 
-def test_snf_random_postconditions():
-    # postconditions are verified inside snf(); this exercises many shapes
-    rng = random.Random(123)
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        d = rng.randint(1, 4)
-        rows = [[rng.randint(-10, 10) for _ in range(d)] for _ in range(n)]
-        r = snf(IntMatrix.from_rows(rows))
-        diag = r.diagonal
-        nz = [s for s in diag if s]
-        assert all(nz[i + 1] % nz[i] == 0 for i in range(len(nz) - 1))
+def test_snf_transforms_stay_small():
+    """Hermite passes keep T and U small; pivot-and-divide elimination let them reach
+    thousands of bits per entry on these shapes."""
+    rng = random.Random(23)
+    for n, d in ((10, 10), (10, 12)):
+        for _ in range(3):
+            r = snf([[rng.randint(-10, 10) for _ in range(d)] for _ in range(n)])
+            assert max(abs(x).bit_length() for M in (r.T, r.U) for row in M for x in row) <= 256
 
 
 def leibniz_det(M):
@@ -169,11 +166,11 @@ def test_profile_lincong_matches_bruteforce(mat):
 
 
 @st.composite
-def subset_diagonal_matrices(draw):
-    """1-6 rows of width 1-7, entries up to +-100: zero rows, copied rows, combined rows
-    (rank-deficient) and wide matrices among them."""
-    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 7))
-    entry = st.one_of(st.integers(-3, 3), st.integers(-100, 100))
+def combined_row_matrices(draw, max_rows, max_cols, bound):
+    """1-max_rows rows of width 1-max_cols, entries up to +-bound: zero rows, copied rows,
+    combined rows (rank-deficient) and wide matrices among them."""
+    n, d = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-bound, bound))
     rows = [draw(st.lists(entry, min_size=d, max_size=d)) for _ in range(n)]
     for i in range(n):
         kind = draw(st.sampled_from(("keep", "keep", "zero", "copy", "combine")))
@@ -187,8 +184,27 @@ def subset_diagonal_matrices(draw):
     return IntMatrix.from_rows(rows)
 
 
+def determinantal_diagonal(rows):
+    """Oracle: s_k = d_k / d_(k-1), d_k the gcd of the k x k minors (``leibniz_det``)."""
+    n, d = len(rows), len(rows[0])
+    diag, prev = [], 1
+    for k in range(1, min(n, d) + 1):
+        dk = math.gcd(*(leibniz_det([[rows[i][j] for j in J] for i in I])
+                        for I in itertools.combinations(range(n), k)
+                        for J in itertools.combinations(range(d), k)))
+        diag.append(dk // prev if prev else 0)
+        prev = dk
+    return tuple(diag)
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(subset_diagonal_matrices())
+@given(combined_row_matrices(5, 5, 10**6))
+def test_snf_diagonal_matches_determinantal_divisors(mat):
+    assert snf(mat).diagonal == determinantal_diagonal(mat.rows)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(combined_row_matrices(6, 7, 100))
 def test_subset_diagonals_match_snf_of_every_subset(mat):
     diagonals = _subset_diagonals(mat)
     assert diagonals[0] == ()
@@ -236,7 +252,8 @@ def test_intmatrix_rejects_non_integers_and_bad_labels():
     import numpy as np
 
     assert IntMatrix.from_rows(np.array([[2, 4], [6, 8]])).rows == ((2, 4), (6, 8))
-    for rows in ([[1.5, 2]], [[True, 2]], [[2.0, 1]], [[Fraction(1, 2), 1]], [[np.bool_(True), 1]]):
+    for rows in ([[1.5, 2]], [[True, 2]], [[2.0, 1]], [[Fraction(1, 2), 1]], [[np.bool_(True), 1]],
+                 [["3", 1]]):
         with pytest.raises(DomainError, match="not an integer"):
             IntMatrix.from_rows(rows)
     for labels in ((1, 2), ("a,b", "c"), ("", "c"), (None, "c")):
