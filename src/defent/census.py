@@ -154,12 +154,12 @@ def _fiber_sizes(keys, space):
     return dict(zip(nonzero.tolist(), mult[nonzero].tolist())), int(mult[1:].sum())
 
 
-def _histogram_from_points(points, cols, subset_labels, q, keys=None):
-    """Fiber histogram of the columns cols; ``keys`` are their flat keys if known."""
+def _histogram_from_points(points, cols, q, keys=None):
+    """(fiber size -> number of fibers, number of nonempty fibers) of the projection
+    of points onto the columns cols; ``keys`` are their flat keys if known."""
     total = int(points.shape[1])
     if not cols:
-        buckets = {total: 1} if total else {}
-        return FiberHistogram(tuple(subset_labels), total, buckets, 1 if not total else 0)
+        return ({total: 1}, 1) if total else ({}, 0)
     if q ** len(cols) >= 2**62:
         raise DomainError("projection space too large to key")
     if keys is None:
@@ -167,15 +167,15 @@ def _histogram_from_points(points, cols, subset_labels, q, keys=None):
         for c in cols[1:]:
             keys *= q
             keys += points[c]
-    buckets, nonempty = _fiber_sizes(keys, q ** len(cols))
-    return FiberHistogram(tuple(subset_labels), total, buckets, q ** len(cols) - nonempty)
+    return _fiber_sizes(keys, q ** len(cols))
 
 
 def fiber_histogram(dset: DefinableSet, I, spec: FieldSpec) -> FiberHistogram:
     """Exact fiber-size census of the projection of X(G) onto the variables I."""
     cols, labels = _subset_columns(dset, I)
     points = collect_points(dset, spec)
-    return _histogram_from_points(points, cols, labels, spec.q)
+    buckets, nonempty = _histogram_from_points(points, cols, spec.q)
+    return FiberHistogram(labels, int(points.shape[1]), buckets, spec.q ** len(cols) - nonempty)
 
 
 def entropy_profile(dset: DefinableSet, spec: FieldSpec, *, jobs: int = 1,
@@ -221,12 +221,11 @@ def _profile_of_points(points, labels, q) -> Profile:
                 rows[m], blocks[m], child = rows[src], blocks[src], None
             else:  # a copied node has only copied descendants, so keys is never None here
                 child = keys * q + points[c] if cols else points[c]
-                buckets = _histogram_from_points(points, sub, [labels[j] for j in sub], q,
-                                                 child).buckets
+                buckets, blocks[m] = _histogram_from_points(points, sub, q, child)
                 key = tuple(buckets.items())
                 if key not in memo:
                     memo[key] = entropy_numerators(buckets, total)
-                rows[m], blocks[m] = memo[key], sum(buckets.values())
+                rows[m] = memo[key]
             dependent[m] = sum(1 << d for d in sub if blocks[m ^ 1 << d] == blocks[m])
             walk(sub, child, m)
 
@@ -259,11 +258,12 @@ def tower_census(dset: DefinableSet, p: int, e_max: int, subsets=None, *,
         spec = field(p, e)
         if subsets:
             points = collect_points(dset, spec, jobs=jobs, max_evals=max_evals)
-            fibers = {}
+            count, fibers = int(points.shape[1]), {}
             for sub in subsets:
                 cols, labels = _subset_columns(dset, sub)
-                fibers[labels] = _histogram_from_points(points, cols, labels, spec.q)
-            count = int(points.shape[1])
+                buckets, nonempty = _histogram_from_points(points, cols, spec.q)
+                fibers[labels] = FiberHistogram(labels, count, buckets,
+                                                spec.q ** len(cols) - nonempty)
             rows.append(CensusRow(e, spec.q, count, fibers))
         else:
             count = count_points(dset, spec, jobs=jobs, max_evals=max_evals)

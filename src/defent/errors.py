@@ -33,3 +33,11 @@ def malformed(what: str):
         raise
     except (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"malformed {what}: {exc!r}") from None
+
+
+def json_list(value, what: str) -> list:
+    """value, which must be a JSON array: a string or an object is refused, not iterated
+    (``tuple("xy")`` would read the string "xy" as the list ["x", "y"])."""
+    if not isinstance(value, list):
+        raise DomainError(f"{what} must be a list, not {type(value).__name__}")
+    return value

@@ -22,15 +22,17 @@ from fractions import Fraction
 from itertools import repeat
 from math import lcm
 
-from .errors import DomainError, malformed
-from .logval import LogValue, log_of_rat
+from .errors import DomainError, json_list, malformed
+from .logval import LogValue, log_of_rat, rational
 from .polymatroid import (
     H,
     Profile,
     _as_labelset,
+    _distinct,
+    _rows_from_json,
+    _subset_index,
     cond_entropy,
     cond_mi,
-    entries_from_json,
     entries_to_json,
     eval_functional,
     is_polymatroid,
@@ -51,7 +53,7 @@ class Distribution:
     """
 
     def __init__(self, ground_set, probs, alphabets=None):
-        self.ground_set = tuple(ground_set)
+        self.ground_set = _distinct(ground_set)
         n = len(self.ground_set)
         canon = {}
         for outcome, pr in probs.items():
@@ -76,6 +78,10 @@ class Distribution:
                 for i, v in enumerate(self.ground_set)
             }
         self.alphabets = {v: tuple(vals) for v, vals in alphabets.items()}
+        if set(self.alphabets) != set(self.ground_set):
+            raise DomainError("alphabets must be given for exactly the ground set's labels")
+        if any(len(set(vals)) != len(vals) for vals in self.alphabets.values()):
+            raise DomainError("alphabet symbols must be distinct")
         for i, v in enumerate(self.ground_set):
             seen = {o[i] for o in canon}
             if not seen <= set(self.alphabets.get(v, ())):
@@ -119,19 +125,27 @@ class Distribution:
 
     @classmethod
     def from_json(cls, obj) -> "Distribution":
-        def parse_val(s):
-            return int(s) if isinstance(s, str) and s.lstrip("-").isdigit() else s
+        """The distribution ``to_json`` writes.  Each "prob" is exact, an int or an
+        "n/d" string (``logval.rational``); a float is refused.  Symbols are strings,
+        and one in canonical decimal ("3", not "03") stands for its int.  "alphabets"
+        may be left out, and then each label's alphabet is the symbols it takes."""
+        def symbol(s):
+            if type(s) is not str:
+                raise ValueError(f"symbol {s!r} is not a string")
+            try:
+                return int(s) if str(int(s)) == s else s
+            except ValueError:
+                return s
 
         with malformed("distribution JSON"):
-            gs = tuple(obj["ground_set"])
-            probs = {
-                tuple(parse_val(x) for x in row["outcome"]): Fraction(row["prob"])
-                for row in obj["support"]
-            }
-            alphabets = {
-                v: tuple(parse_val(x) for x in vals)
-                for v, vals in obj.get("alphabets", {}).items()
-            } or None
+            gs = json_list(obj["ground_set"], "ground set")
+            support = [(tuple(map(symbol, json_list(row["outcome"], "outcome"))),
+                        rational(row["prob"])) for row in json_list(obj["support"], "support")]
+            alphabets = {v: tuple(map(symbol, json_list(vals, "alphabet")))
+                         for v, vals in obj.get("alphabets", {}).items()} or None
+        probs = dict(support)
+        if len(probs) != len(support):
+            raise DomainError("duplicate outcome in distribution JSON")
         return cls(gs, probs, alphabets)
 
 
@@ -245,10 +259,14 @@ class PartialProfile:
 
     @classmethod
     def from_json(cls, obj) -> "PartialProfile":
+        """The partial profile ``to_json`` writes: the keys and terms of
+        ``Profile.from_json``, with null for an entry left open."""
+        gs, rows = _rows_from_json(obj, "partial profile JSON", nullable=True)
         with malformed("partial profile JSON"):
-            ground_set, entries = tuple(obj["ground_set"]), entries_from_json(obj["entries"])
             constraints = [parse_functional(s) for s in obj.get("constraints", [])]
-        return cls(ground_set, entries, constraints)
+        entries = {ks: None if row is None else LogValue._raw(row)
+                   for ks, row in zip(_subset_index(gs), rows)}
+        return cls(gs, entries, constraints)
 
 
 def _one_point(h: Profile, L, z_label):

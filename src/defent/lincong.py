@@ -19,11 +19,11 @@ Hermite form (``_hermite``).  snf() alternates it on the columns and the
 rows of A, and the lattice basis of A's columns is its nonzero columns.
 Every snf() call verifies its postconditions algebraically: S = T A U,
 |det T| = |det U| = 1, S diagonal, and a nonnegative divisibility chain
-with zeros last.  The diagonals of all row subsets (image_size,
-profile_lincong, dirichlet_modulus) come from the minors of that lattice
-basis, anchored by one such verified snf(A) per matrix: every subset's
-diagonal gets the same chain checks, and the full set's must equal the
-verified one.
+with zeros last; image_size reads that diagonal.  The diagonals of all row
+subsets (profile_lincong, dirichlet_modulus) come from the minors of that
+lattice basis, anchored by one such verified snf(A) per matrix: every
+subset's diagonal gets the same chain checks, and the full set's must equal
+the verified one.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
-from .errors import BudgetError, DomainError, malformed
+from .errors import BudgetError, DomainError, json_list, malformed
 from .extend import Distribution, dist_entropy_profile
 from .gf import FieldSpec
 from .logval import factorize, is_prime
@@ -106,7 +106,8 @@ def parse_matrix(text: str) -> IntMatrix:
     if stripped.startswith("{"):
         obj = json.loads(text)
         with malformed("matrix JSON"):
-            return IntMatrix.from_rows(obj["rows"], tuple(obj["labels"]) if "labels" in obj else None)
+            labels = json_list(obj["labels"], "labels") if "labels" in obj else None
+            return IntMatrix.from_rows(json_list(obj["rows"], "rows"), labels)
     rows = []
     labels = []
     for line in text.splitlines():
@@ -405,12 +406,11 @@ def _image_exponents(diagonal, m: int) -> tuple:
 
 
 def image_size(matrix: IntMatrix, m: int) -> int:
-    """Order of the column span of A mod m inside (Z/m)^n, from the verified SNF
-    diagonal of A (the full set's entry of ``_subset_diagonals``)."""
+    """Order of the column span of A mod m inside (Z/m)^n: the product of m / gcd(m, s)
+    over the verified SNF diagonal s of A."""
     if m < 2:
         raise DomainError("modulus must be >= 2")
-    exponents = _image_exponents(_subset_diagonals(matrix)[-1], m)
-    return prod(p**e for (p, _), e in zip(_valuations(m), exponents))
+    return prod(m // gcd(m, s) for s in snf(matrix).diagonal)
 
 
 def image_size_bruteforce(matrix: IntMatrix, m: int) -> int:

@@ -28,12 +28,14 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError
 
-#: Trial division gives up past this bound (desk-scale inputs only).
+#: Trial division (``factorize``, ``is_prime``) refuses larger inputs: the system
+#: writes no larger prime, and every field with q > 10^9 is over budget.
 FACTOR_CAP = 10**12
 
 _START_PREC = 64
@@ -64,6 +66,9 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def is_prime(n: int) -> bool:
+    """Primality by trial division; n > FACTOR_CAP raises DomainError before any division."""
+    if n > FACTOR_CAP:
+        raise DomainError(f"{n} exceeds the primality cap {FACTOR_CAP}")
     if n < 2:
         return False
     if n < 4:
@@ -116,11 +121,6 @@ def _iv_eval(p: int, prec: int) -> tuple[int, int]:
 def _log_bounds(p: int, prec: int) -> tuple[int, int]:
     """Cached ``_iv_eval``, looked up as a module global on every miss."""
     return _iv_eval(p, prec)
-
-
-#: The Fraction a coefficient string spells.  Profile files repeat a few dozen
-#: coefficient strings many times over; a malformed one still raises, uncached.
-_decode = functools.lru_cache(maxsize=4096)(Fraction)
 
 
 def _canon(c):
@@ -341,20 +341,49 @@ class LogValue:
 
     @classmethod
     def from_json(cls, obj) -> "LogValue":
-        if not isinstance(obj, dict) or not isinstance(obj.get("terms"), dict):
-            raise DomainError("LogValue JSON must be an object with a 'terms' object")
-        try:
-            terms = {int(k): _decode(v) if type(v) is str else Fraction(v)
-                     for k, v in obj["terms"].items()}
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"bad LogValue term in {obj['terms']!r}: {exc}") from None
-        return cls(terms)
+        """The value ``to_json`` writes, read by ``decode_terms``: term keys are primes in
+        canonical decimal ("5", not "05" or "+5"), coefficients ints or "n/d" strings."""
+        return cls._raw(decode_terms(obj))
 
     def __repr__(self):
         if not self._terms:
             return "LogValue(0)"
         parts = [f"{c}*log({p})" for p, c in sorted(self._terms.items())]
         return "LogValue(" + " + ".join(parts) + ")"
+
+
+_RATIONAL = re.compile(r"(-?[0-9]+)/(0*[1-9][0-9]*)")
+
+
+def rational(v):
+    """The exact rational a JSON value spells, an int or a Fraction as ``_canon`` stores
+    it: an int (a bool is none) or an "n/d" string of ASCII decimals, d > 0, in any
+    terms.  Anything else, a float included, raises ValueError."""
+    m = _RATIONAL.fullmatch(v) if type(v) is str else None
+    if m is None and type(v) is not int:
+        raise ValueError(f"Invalid literal for Fraction: {v!r}")
+    return v if m is None else _canon(Fraction(int(m[1]), int(m[2])))
+
+
+def decode_terms(obj) -> dict:
+    """The term map (prime -> nonzero ``rational`` coefficient) of LogValue JSON: an
+    object whose "terms" object has primes in canonical decimal (``str(int(k)) == k``)
+    as keys.  Every other spelling raises DomainError; no LogValue is built."""
+    terms = obj.get("terms") if isinstance(obj, dict) else None
+    if not isinstance(terms, dict):
+        raise DomainError("a value must be LogValue JSON: an object with a 'terms' object")
+    out = {}
+    try:
+        for k, v in terms.items():
+            p = int(k)
+            if str(p) != k or not is_prime(p):
+                raise ValueError(f"term key {k!r} is not prime or not in canonical decimal")
+            c = rational(v)
+            if c:
+                out[p] = c
+    except (TypeError, ValueError) as exc:  # a DomainError of is_prime included
+        raise DomainError(f"bad LogValue term in {terms!r}: {exc}") from None
+    return out
 
 
 @functools.lru_cache(maxsize=4096)

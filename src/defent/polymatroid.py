@@ -20,11 +20,14 @@ of E, read column by column at a few bitmasks.  A sum whose entries share
 one sign has that sign with no enclosure (every log p > 0); the elemental
 check signs each other distinct row once per call.
 
-Subsets are walked (``subsets``), keyed in JSON (``label_order``,
-``subset_key``, ``parse_subset_key``, ``entries_to_json``) and combined into Shannon
+Subsets are walked (``subsets``), keyed in JSON and combined into Shannon
 quantities (``cond_entropy``, ``cond_mi``, ``ingleton``) here and nowhere
 else: one walk, one codec, each quantity defined once, as a signed sum over
-profile entries that builds one result.  Evaluated on ``H``, the symbolic
+profile entries that builds one result.  The codec is one key table per
+ground set (``_key_table``, from ``subset_key``): what ``to_json`` writes is
+all that ``_rows_from_json``, the one decode path, reads.  It maps each key
+to a bitmask and each distinct terms object (``logval.decode_terms``) to an
+exponent row, building no LogValue.  Evaluated on ``H``, the symbolic
 profile whose entry H[S] is the functional H(S), the sum is a LinFunctional:
 ``cond_mi(H, I, J, K)`` is the functional I(I:J|K), and ``H[S]`` is H(S).
 """
@@ -38,9 +41,9 @@ import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import DomainError, malformed
+from .errors import DomainError, json_list, malformed
 from .gf import prime_power
-from .logval import LOG2, LogValue, _canon, log_of_rat
+from .logval import LOG2, LogValue, _canon, decode_terms, log_of_rat
 
 _ZERO = LogValue.zero()
 
@@ -69,41 +72,44 @@ def subset_key(order: dict, ks) -> str:
     return ",".join(sorted(ks, key=order.get))
 
 
-def parse_subset_key(key: str) -> frozenset:
-    return frozenset(key.split(",")) if key else frozenset()
-
-
-def _json_keys(ground_set, subsets) -> list:
-    """(subset_key, subset) pairs in JSON order: smallest subsets first, then by key."""
-    order = label_order(ground_set)
-    return sorted(((subset_key(order, ks), ks) for ks in subsets),
-                  key=lambda t: (len(t[1]), t[0]))
+@functools.lru_cache(maxsize=64)
+def _key_table(gs: tuple) -> dict:
+    """subset_key -> bitmask for every subset of gs, smallest subsets first, then by key:
+    the keys that ``to_json`` writes and the only keys that ``_rows_from_json`` reads."""
+    order = label_order(gs)
+    return dict(sorted(((subset_key(order, ks), mask) for ks, mask in _subset_index(gs).items()),
+                       key=lambda t: (t[1].bit_count(), t[0])))
 
 
 def entries_to_json(ground_set, entries) -> dict:
-    """subset_key -> value JSON (None stays None), smallest subsets first."""
-    return {key: None if entries[ks] is None else entries[ks].to_json()
-            for key, ks in _json_keys(ground_set, entries)}
+    """subset_key -> value JSON (None stays None) of every subset's entry, in JSON order."""
+    subsets = list(_subset_index(tuple(ground_set)))  # in bitmask order
+    return {key: None if entries[subsets[m]] is None else entries[subsets[m]].to_json()
+            for key, m in _key_table(tuple(ground_set)).items()}
 
 
-def entries_from_json(obj) -> dict:
-    """The inverse of entries_to_json.  Each distinct ``terms`` object is decoded once
-    per call: a profile repeats a few entries many times."""
-    decoded = {}  # terms items -> LogValue
-
-    def value(v):
-        if not (isinstance(v, dict) and isinstance(v.get("terms"), dict)):
-            return None if v is None else LogValue.from_json(v)  # None, or the shape error
-        key = tuple(v["terms"].items())
+def _rows_from_json(obj, what: str, nullable: bool = False) -> tuple:
+    """(ground set, rows) of profile-shaped JSON ``what``: rows[mask] is the term map
+    (``decode_terms``) of the entry whose key the key table maps to mask, None where
+    none is given or, if nullable, where it is null.  Each distinct terms object is
+    decoded once: a profile repeats a few entries many times."""
+    with malformed(what):
+        gs = _distinct(json_list(obj["ground_set"], "ground set"))
+        items = obj["entries"].items()
+    table, decoded = _key_table(gs), {}
+    rows = [None] * len(table)
+    for key, v in items:
+        if key not in table:
+            raise DomainError(f"entry key {key!r} not within ground set {gs}: a key is "
+                              "its labels in ground-set order, comma-joined, each once")
+        if v is None and nullable:
+            continue
         try:
-            return decoded[key]
-        except KeyError:
-            decoded[key] = out = LogValue.from_json(v)
-            return out
-        except TypeError:  # an unhashable coefficient, which LogValue.from_json names
-            return LogValue.from_json(v)
-
-    return {parse_subset_key(k): value(v) for k, v in obj.items()}
+            row = decoded[tuple(v["terms"].items())]
+        except (KeyError, TypeError, AttributeError):  # new, or refused by decode_terms
+            row = decoded[tuple(v["terms"].items())] = decode_terms(v)
+        rows[table[key]] = row
+    return gs, rows
 
 
 class Profile:
@@ -118,49 +124,29 @@ class Profile:
     profiles have equal matrices.  ``h[S]`` and ``entries()`` build LogValues
     on demand.
 
-    ``Profile(ground_set, entries)`` validates a dict of LogValue entries
-    (labels inside the ground set, every subset defined, h(empty) = 0) and
-    reads E off their coefficients.  Producers that know their exponents
-    (``profile_lincong``, the entropy profiles, ``factor``) build E
-    directly with ``_of_matrix``.
+    ``Profile(ground_set, entries)`` validates a dict of LogValue entries and
+    hands their term maps, one row per bitmask, to ``_columns`` (every subset
+    defined, h(empty) = 0) and ``_hold``, as ``from_json`` and the entropy
+    profiles (``_of_rows``) do.  Producers that know their exponent columns
+    (``profile_lincong``, ``factor``) build E with ``_of_matrix``.
     """
 
     def __init__(self, ground_set, entries):
         gs = _distinct(ground_set)
-        full = frozenset(gs)
-        canon: dict[frozenset, dict] = {}
+        index = _subset_index(gs)
+        rows = [None] * len(index)
         for key, val in entries.items():
             ks = _as_labelset(key)
-            if not ks <= full:
+            if ks not in index:
                 raise DomainError(f"entry {set(ks)} not within ground set {gs}")
             if not isinstance(val, LogValue):
                 raise DomainError("profile entries must be LogValue")
-            canon[ks] = val._terms
-        expected = 1 << len(gs)
-        if len(canon) != expected:
-            raise DomainError(
-                f"profile must define all {expected} subsets, got {len(canon)}"
-            )
-        if canon[frozenset()]:
-            raise DomainError("h(emptyset) must be exactly 0")
-        primes = sorted({p for t in canon.values() for p in t})
-        den = math.lcm(*(c.denominator for t in canon.values() for c in t.values()))
-        column = {p: [0] * expected for p in primes}
-        for ks, mask in _subset_index(gs).items():
-            for p, c in canon[ks].items():
-                column[p][mask] = c.numerator * (den // c.denominator)
-        self._hold(gs, tuple(primes), den, tuple(tuple(column[p]) for p in primes))
+            rows[index[ks]] = val._terms
+        self._hold(gs, *_columns(rows))
 
     def _hold(self, gs, primes, den, cols):
-        self.ground_set = gs
-        self._index = _subset_index(gs)
-        self._bits = _label_bits(gs)
-        self._primes, self._den, self._cols = primes, den, cols
-
-    @classmethod
-    def _of_matrix(cls, ground_set, primes, den, cols) -> "Profile":
-        """The profile with exponent columns cols (one entry per bitmask) over den,
-        made canonical: all-zero columns dropped, den reduced."""
+        """Hold the exponent columns cols (one entry per bitmask) over den, made
+        canonical: all-zero columns dropped, den reduced.  Every constructor ends here."""
         keep = [j for j, col in enumerate(cols) if any(col)]
         if len(keep) < len(cols):
             primes, cols = [primes[j] for j in keep], [cols[j] for j in keep]
@@ -168,16 +154,23 @@ class Profile:
         if g > 1:
             den //= g
             cols = [tuple(e // g for e in col) for col in cols]
+        self.ground_set = gs
+        self._index = _subset_index(gs)
+        self._bits = _label_bits(gs)
+        self._primes, self._den, self._cols = tuple(primes), den, tuple(cols)
+
+    @classmethod
+    def _of_matrix(cls, ground_set, primes, den, cols) -> "Profile":
+        """The profile with exponent columns cols (one entry per bitmask) over den."""
         h = cls.__new__(cls)
-        h._hold(_distinct(ground_set), tuple(primes), den, tuple(cols))
+        h._hold(_distinct(ground_set), primes, den, cols)
         return h
 
     @classmethod
-    def _of_rows(cls, ground_set, rows, den) -> "Profile":
-        """The profile whose row at bitmask S is rows[S], a map prime -> numerator over den."""
-        primes = sorted({p for row in rows for p in row})
-        return cls._of_matrix(ground_set, primes, den,
-                              [tuple(row.get(p, 0) for row in rows) for p in primes])
+    def _of_rows(cls, ground_set, rows, den=1) -> "Profile":
+        """The profile whose row at bitmask S is rows[S], a map prime -> coefficient
+        times den (``_columns``)."""
+        return cls._of_matrix(ground_set, *_columns(rows, den))
 
     def _value(self, mask) -> LogValue:
         den = self._den
@@ -235,19 +228,17 @@ class Profile:
 
         return {
             "ground_set": list(self.ground_set),
-            "entries": {key: terms(self._index[ks])
-                        for key, ks in _json_keys(self.ground_set, self._index)},
+            "entries": {key: terms(mask) for key, mask in _key_table(self.ground_set).items()},
         }
 
     @classmethod
     def from_json(cls, obj) -> "Profile":
-        """Decodes every coefficient string (``LogValue.from_json``) and reads the
-        rows of E off the decoded entries, with every check of the constructor."""
-        with malformed("profile JSON"):
-            ground_set, entries = tuple(obj["ground_set"]), entries_from_json(obj["entries"])
-        if not all(isinstance(v, str) for v in ground_set):
-            raise DomainError("profile JSON labels must be strings")
-        return cls(ground_set, entries)
+        """The profile ``to_json`` writes, with every check of the constructor.  Only
+        these spellings are read: "ground_set" a list of distinct non-empty labels
+        without ','; one "entries" key per subset, its labels in ground-set order,
+        comma-joined ("" for the empty set); each entry LogValue JSON (prime keys in
+        canonical decimal, int or "n/d" coefficients).  Other keys are ignored."""
+        return cls._of_rows(*_rows_from_json(obj, "profile JSON"))
 
     def normalized(self, base: int):
         """Base-b rendering of every entry: exact Fraction where possible."""
@@ -259,10 +250,32 @@ def _unknown_subset(ks) -> DomainError:
 
 
 def _distinct(ground_set) -> tuple:
+    """The ground set as a tuple of distinct labels, each a non-empty string without
+    ',', so that every subset has one JSON key (``subset_key``)."""
     gs = tuple(ground_set)
+    for v in gs:
+        if not (isinstance(v, str) and v and "," not in v):
+            raise DomainError(f"label {v!r} is not a non-empty string without ','")
     if len(set(gs)) != len(gs):
         raise DomainError("ground set labels must be distinct")
     return gs
+
+
+def _columns(rows, den=1) -> tuple:
+    """(primes, den, columns) of rows, one map prime -> coefficient times den per bitmask,
+    once every subset is defined and h(empty) = 0.  A coefficient is an int or a Fraction;
+    the least common denominator of them all scales the columns to integers and den up."""
+    if None in rows:
+        raise DomainError(f"profile must define all {len(rows)} subsets, "
+                          f"got {len(rows) - rows.count(None)}")
+    if rows[0]:
+        raise DomainError("h(emptyset) must be exactly 0")
+    primes = sorted({p for row in rows for p in row})
+    lcd = math.lcm(*(c.denominator for row in rows for c in row.values()))
+    cols = [tuple([row.get(p, 0) for row in rows]) for p in primes]
+    if lcd > 1:
+        cols = [tuple([c.numerator * (lcd // c.denominator) for c in col]) for col in cols]
+    return primes, den * lcd, cols
 
 
 @functools.lru_cache(maxsize=64)

@@ -119,6 +119,20 @@ def test_image_size_examples():
         image_size(IntMatrix.from_rows([(2,)]), 1)
 
 
+def test_image_size_reads_only_the_snf_diagonal(monkeypatch):
+    # image_size needs one diagonal; the table of every row subset's diagonal is not built
+    def refuse(matrix):
+        raise AssertionError("image_size built every row subset's diagonal")
+
+    monkeypatch.setattr(lincong, "_subset_diagonals", refuse)
+    rng = random.Random(23)
+    big = IntMatrix.from_rows([[rng.randint(-10, 10) for _ in range(10)] for _ in range(10)])
+    for mat, m in ((PAPER_MATRIX, 343), (PAPER_MATRIX, 12), (big, 12)):
+        diagonal = snf(mat).diagonal
+        assert image_size(mat, m) == math.prod(m // math.gcd(m, s) for s in diagonal)
+    assert image_size(PAPER_MATRIX, 12) == image_size_bruteforce(PAPER_MATRIX, 12)
+
+
 def test_image_size_bruteforce_examples():
     assert image_size_bruteforce(IntMatrix.from_rows([(1, 0), (0, 1)]), 4) == 16
     assert image_size_bruteforce(IntMatrix.from_rows([(2,)]), 6) == 3
