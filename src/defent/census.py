@@ -53,7 +53,7 @@ from .enumeration import collect_points_vec as collect_points, count_points_vec 
 from .errors import DomainError, EstimationError
 from .extend import Distribution, entropy_numerators
 from .gf import FieldSpec, field
-from .polymatroid import Profile
+from .polymatroid import Profile, _columns
 from .ringlang import DefinableSet
 
 DENOM_CAP = 64
@@ -230,7 +230,7 @@ def _profile_of_points(points, labels, q) -> Profile:
             walk(sub, child, m)
 
     walk((), None, 0)
-    return Profile._of_rows(labels, rows, total)
+    return Profile._of_matrix(labels, *_columns(rows, total))
 
 
 def marginal_distribution(dset: DefinableSet, I, spec: FieldSpec) -> Distribution:

@@ -28,6 +28,7 @@ from .polymatroid import (
     H,
     Profile,
     _as_labelset,
+    _columns,
     _distinct,
     _rows_from_json,
     _subset_index,
@@ -172,7 +173,7 @@ def dist_entropy_profile(p: Distribution) -> Profile:
     rows = [entropy_numerators(Counter(p._marginal_numerators(
                 [v for i, v in enumerate(gs) if mask >> i & 1]).values()), p._den)
             for mask in range(1 << len(gs))]
-    return Profile._of_rows(gs, rows, p._den)
+    return Profile._of_matrix(gs, *_columns(rows, p._den))
 
 
 # -- conditional product (the copy construction) -----------------------------------

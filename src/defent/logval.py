@@ -47,7 +47,7 @@ def factorize(n: int) -> dict[int, int]:
     if n <= 0:
         raise DomainError(f"cannot factor non-positive integer {n}")
     if n > FACTOR_CAP:
-        raise DomainError(f"{n} exceeds the factorization cap {FACTOR_CAP}")
+        raise DomainError(f"{n} exceeds the trial-division cap {FACTOR_CAP}")
     out: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:
@@ -66,21 +66,8 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def is_prime(n: int) -> bool:
-    """Primality by trial division; n > FACTOR_CAP raises DomainError before any division."""
-    if n > FACTOR_CAP:
-        raise DomainError(f"{n} exceeds the primality cap {FACTOR_CAP}")
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    d = 5
-    while d * d <= n:
-        if n % d == 0 or n % (d + 2) == 0:
-            return False
-        d += 6
-    return True
+    """Primality by ``factorize``, so n > FACTOR_CAP raises DomainError before any division."""
+    return n > 1 and factorize(n) == {n: 1}
 
 
 class Approx(NamedTuple):

@@ -27,7 +27,8 @@ profile entries that builds one result.  The codec is one key table per
 ground set (``_key_table``, from ``subset_key``): what ``to_json`` writes is
 all that ``_rows_from_json``, the one decode path, reads.  It maps each key
 to a bitmask and each distinct terms object (``logval.decode_terms``) to an
-exponent row, building no LogValue.  Evaluated on ``H``, the symbolic
+exponent row, which ``_columns`` reads into E as it does for ``Profile(...)``;
+no LogValue is built.  Evaluated on ``H``, the symbolic
 profile whose entry H[S] is the functional H(S), the sum is a LinFunctional:
 ``cond_mi(H, I, J, K)`` is the functional I(I:J|K), and ``H[S]`` is H(S).
 """
@@ -83,19 +84,23 @@ def _key_table(gs: tuple) -> dict:
 
 def entries_to_json(ground_set, entries) -> dict:
     """subset_key -> value JSON (None stays None) of every subset's entry, in JSON order."""
-    subsets = list(_subset_index(tuple(ground_set)))  # in bitmask order
-    return {key: None if entries[subsets[m]] is None else entries[subsets[m]].to_json()
-            for key, m in _key_table(tuple(ground_set)).items()}
+    gs = tuple(ground_set)
+    values = [None if entries[ks] is None else entries[ks].to_json() for ks in _subset_index(gs)]
+    return {key: values[mask] for key, mask in _key_table(gs).items()}
 
 
 def _rows_from_json(obj, what: str, nullable: bool = False) -> tuple:
     """(ground set, rows) of profile-shaped JSON ``what``: rows[mask] is the term map
-    (``decode_terms``) of the entry whose key the key table maps to mask, None where
-    none is given or, if nullable, where it is null.  Each distinct terms object is
-    decoded once: a profile repeats a few entries many times."""
+    (``decode_terms``) of the entry whose key the key table maps to mask, None where it
+    is null if nullable.  Too few keys are refused before the table is built, so its 2^n
+    keys are never more than the input's.  Each distinct terms object is decoded
+    once, as a profile repeats a few entries many times; only all-string ones are kept,
+    for 2, 2.0 and True are equal keys and only the int may be read."""
     with malformed(what):
         gs = _distinct(json_list(obj["ground_set"], "ground set"))
         items = obj["entries"].items()
+    if len(items) < 1 << len(gs):
+        raise DomainError(f"profile must define all {1 << len(gs)} subsets, got {len(items)}")
     table, decoded = _key_table(gs), {}
     rows = [None] * len(table)
     for key, v in items:
@@ -107,7 +112,9 @@ def _rows_from_json(obj, what: str, nullable: bool = False) -> tuple:
         try:
             row = decoded[tuple(v["terms"].items())]
         except (KeyError, TypeError, AttributeError):  # new, or refused by decode_terms
-            row = decoded[tuple(v["terms"].items())] = decode_terms(v)
+            row = decode_terms(v)
+            if all(type(c) is str for c in v["terms"].values()):
+                decoded[tuple(v["terms"].items())] = row
         rows[table[key]] = row
     return gs, rows
 
@@ -124,25 +131,27 @@ class Profile:
     profiles have equal matrices.  ``h[S]`` and ``entries()`` build LogValues
     on demand.
 
-    ``Profile(ground_set, entries)`` validates a dict of LogValue entries and
-    hands their term maps, one row per bitmask, to ``_columns`` (every subset
-    defined, h(empty) = 0) and ``_hold``, as ``from_json`` and the entropy
-    profiles (``_of_rows``) do.  Producers that know their exponent columns
-    (``profile_lincong``, ``factor``) build E with ``_of_matrix``.
+    ``Profile(ground_set, entries)`` validates a dict of LogValue entries, one
+    per subset, and hands their term maps, one row per bitmask, to ``_columns``
+    (h(empty) = 0) and ``_hold``, as ``from_json`` and the entropy profiles do
+    through ``_of_matrix``.  Producers that know their exponent columns
+    (``profile_lincong``, ``factor``) pass them to ``_of_matrix``.
     """
 
     def __init__(self, ground_set, entries):
         gs = _distinct(ground_set)
-        index = _subset_index(gs)
-        rows = [None] * len(index)
+        full, canon = frozenset(gs), {}
         for key, val in entries.items():
             ks = _as_labelset(key)
-            if ks not in index:
+            if not ks <= full:
                 raise DomainError(f"entry {set(ks)} not within ground set {gs}")
             if not isinstance(val, LogValue):
                 raise DomainError("profile entries must be LogValue")
-            rows[index[ks]] = val._terms
-        self._hold(gs, *_columns(rows))
+            canon[ks] = val._terms
+        size = 1 << len(gs)
+        if len(canon) != size:  # checked before the 2^n subsets are indexed
+            raise DomainError(f"profile must define all {size} subsets, got {len(canon)}")
+        self._hold(gs, *_columns([canon[ks] for ks in _subset_index(gs)]))
 
     def _hold(self, gs, primes, den, cols):
         """Hold the exponent columns cols (one entry per bitmask) over den, made
@@ -165,12 +174,6 @@ class Profile:
         h = cls.__new__(cls)
         h._hold(_distinct(ground_set), primes, den, cols)
         return h
-
-    @classmethod
-    def _of_rows(cls, ground_set, rows, den=1) -> "Profile":
-        """The profile whose row at bitmask S is rows[S], a map prime -> coefficient
-        times den (``_columns``)."""
-        return cls._of_matrix(ground_set, *_columns(rows, den))
 
     def _value(self, mask) -> LogValue:
         den = self._den
@@ -238,7 +241,8 @@ class Profile:
         without ','; one "entries" key per subset, its labels in ground-set order,
         comma-joined ("" for the empty set); each entry LogValue JSON (prime keys in
         canonical decimal, int or "n/d" coefficients).  Other keys are ignored."""
-        return cls._of_rows(*_rows_from_json(obj, "profile JSON"))
+        gs, rows = _rows_from_json(obj, "profile JSON")
+        return cls._of_matrix(gs, *_columns(rows))
 
     def normalized(self, base: int):
         """Base-b rendering of every entry: exact Fraction where possible."""
@@ -263,11 +267,8 @@ def _distinct(ground_set) -> tuple:
 
 def _columns(rows, den=1) -> tuple:
     """(primes, den, columns) of rows, one map prime -> coefficient times den per bitmask,
-    once every subset is defined and h(empty) = 0.  A coefficient is an int or a Fraction;
-    the least common denominator of them all scales the columns to integers and den up."""
-    if None in rows:
-        raise DomainError(f"profile must define all {len(rows)} subsets, "
-                          f"got {len(rows) - rows.count(None)}")
+    once h(empty) = 0.  A coefficient is an int or a Fraction; the least common
+    denominator of them all scales the columns to integers and den up."""
     if rows[0]:
         raise DomainError("h(emptyset) must be exactly 0")
     primes = sorted({p for row in rows for p in row})

@@ -3,7 +3,7 @@
 A profile is read by one key table and one term decoder: a key is a subset's labels
 in ground-set order, comma-joined; a term key is a prime in canonical decimal; a
 coefficient (and a probability) is an int or an "n/d" string.  These tests pin the
-spellings that used to be read as something else, the primality cap, and a property
+spellings that used to be read as something else, the trial-division cap, and a property
 over the golden corpus: mutated JSON inputs exit 0, 2, 3 or 4 within 2 s, print no
 traceback, and exit 0 only when the input is still canonical (``canonical_*`` below
 define that, independently of the readers).
@@ -36,7 +36,7 @@ from defent.cli import main
 from test_enumeration import fuzz_cases
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
-HUGE_PRIME_KEY = str(10**30 + 57)  # prime, far above the primality cap
+HUGE_PRIME_KEY = str(10**30 + 57)  # prime, far above the trial-division cap
 
 
 def golden(name):
@@ -73,7 +73,12 @@ def kr5_with(edit):
     (lambda e: e.update({"B,A": e.pop("A,B")}), "'B,A' not within ground set"),
     (lambda e: e["A"]["terms"].update({"02": "1/1"}), "'02' is not prime or not in canonical decimal"),
     (lambda e: e["A"]["terms"].update({"5": 0.1}), "Invalid literal for Fraction: 0.1"),
-    (lambda e: e["A"]["terms"].update({HUGE_PRIME_KEY: "1/1"}), "exceeds the primality cap"),
+    (lambda e: e["A"]["terms"].update({HUGE_PRIME_KEY: "1/1"}), "exceeds the trial-division cap"),
+    # an int read first must not let an equal float or bool through a later entry
+    (lambda e: e.update({"A": {"terms": {"5": 2}}, "B": {"terms": {"5": 2.0}}}),
+     "Invalid literal for Fraction: 2.0"),
+    (lambda e: e.update({"A": {"terms": {"5": 1}}, "B": {"terms": {"5": True}}}),
+     "Invalid literal for Fraction: True"),
 ])
 def test_non_canonical_profile_json_exits_3(tmp_path, edit, message):
     # each was read at the parent, with exit 0: "A,A" replaced the entry of A (7 log 3
@@ -85,6 +90,29 @@ def test_non_canonical_profile_json_exits_3(tmp_path, edit, message):
         assert message in assert_refused(argv)
     with pytest.raises(DomainError, match=re.escape(message)):
         Profile.from_json(kr5_with(edit))
+
+
+def test_many_labels_are_refused_before_any_subset_table(tmp_path):
+    # 2^40 subsets: refused for the one entry given, before 2^40 keys or rows are built
+    labels = [f"v{i}" for i in range(40)]
+    blob = {"ground_set": labels, "entries": {"": {"terms": {}}}}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(blob))
+    err = assert_refused(["check", str(path), "--expr", "0"])
+    assert "define all 1099511627776 subsets, got 1" in err
+    start = time.perf_counter()
+    for read in (Profile.from_json, PartialProfile.from_json, lambda b: Profile(labels, {})):
+        with pytest.raises(DomainError, match="define all"):
+            read(blob)
+    assert time.perf_counter() - start < 2
+
+
+def test_partial_profile_json_keeps_pinned_zeros_apart_from_nulls():
+    x, y = frozenset({"x"}), frozenset({"y"})
+    pp = PartialProfile(("x", "y"), {x: LogValue.zero(), y: LogValue({2: 1})})
+    back = PartialProfile.from_json(json.loads(json.dumps(pp.to_json())))
+    assert back.entries == pp.entries
+    assert back.entries[x] == LogValue.zero() and back.entries[x | y] is None
 
 
 @pytest.mark.parametrize("labels", [["", "x"], ["a,b", "c"], ["x", 1], "xy"])
@@ -135,7 +163,7 @@ def test_log_value_json_spellings():
 def test_huge_prime_field_exits_3_quickly(argv):
     # 8 s of trial division, then a budget error (exit 4), at the parent
     argv = [str(GOLDEN_INPUTS / a) if (GOLDEN_INPUTS / a).exists() else a for a in argv]
-    assert "exceeds the primality cap" in assert_refused(argv)
+    assert "exceeds the trial-division cap" in assert_refused(argv)
 
 
 # -- round trip ------------------------------------------------------------------
@@ -265,6 +293,8 @@ def retyped(v, how):
             return 1
     if how == "str":
         return "".join(map(str, v)) if isinstance(v, list) else str(v)
+    if how == "wide":
+        return [f"v{i}" for i in range(40)]
     return {"null": None, "bool": True, "list": [v], "object": {"v": v}, "huge": 10**30}[how]
 
 
@@ -301,7 +331,7 @@ def mutated_documents(draw):
             node[k] = draw(st.sampled_from(RESPELLINGS))(node[k])
         else:
             how = draw(st.sampled_from(["float", "int", "str", "null", "bool", "list",
-                                        "object", "huge"]))
+                                        "object", "huge", "wide"]))
             node[k] = retyped(node[k], how)
     return kind, doc
 
