@@ -21,7 +21,7 @@ from .census import (
     marginal_distribution,
     tower_census,
 )
-from .errors import BudgetError, DomainError, EstimationError
+from .errors import BudgetError, DomainError, EstimationError, ParseError
 from .extend import (
     CopyResult,
     Distribution,
@@ -67,6 +67,6 @@ from .polymatroid import (
     scan_threshold,
     zero_profile,
 )
-from .ringlang import DefinableSet, ParseError, eval_formula, free_vars, parse_set
+from .ringlang import DefinableSet, eval_formula, free_vars, parse_set
 
 __version__ = "0.1.0"

@@ -17,11 +17,11 @@ from fractions import Fraction
 
 from . import census, extend, lincong, polymatroid
 from .enumeration import DEFAULT_MAX_EVALS
-from .errors import BudgetError, DomainError, EstimationError
+from .errors import BudgetError, DomainError, EstimationError, ParseError, load_json
 from .gf import field
 from .logval import LogValue
 from .polymatroid import Profile
-from .ringlang import ParseError, parse_set
+from .ringlang import parse_set
 
 _quote = json.encoder.encode_basestring_ascii
 
@@ -36,7 +36,7 @@ def _load_set(path: str):
 
 
 def _load_profile(path: str) -> Profile:
-    return Profile.from_json(json.loads(_read(path)))
+    return Profile.from_json(load_json(_read(path)))
 
 
 def _normalized_json(profile: Profile, base: int) -> dict:
@@ -271,7 +271,7 @@ def _parse_labels(text):
 
 def _cmd_extend(args):
     if args.mode == "copy":
-        dist = extend.Distribution.from_json(json.loads(_read(args.input)))
+        dist = extend.Distribution.from_json(load_json(_read(args.input)))
         res = extend.copy_product(dist, _parse_labels(args.L) if args.L else ())
         prof = extend.dist_entropy_profile(res.dist)
         base = extend.dist_entropy_profile(dist)
@@ -293,7 +293,7 @@ def _cmd_extend(args):
         elif args.alpha == "0":
             alpha = LogValue.zero()
         else:
-            alpha = LogValue.from_json(json.loads(args.alpha))
+            alpha = LogValue.from_json(load_json(args.alpha))
         pp = extend.slepian_wolf_partial(prof, labels, alpha)
     else:
         pp = extend.ak_partial(prof, labels)
@@ -424,7 +424,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         obj = args.handler(args)
-    except (ParseError, json.JSONDecodeError) as exc:
+    except ParseError as exc:
         print(f"defent: parse error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

@@ -1,10 +1,21 @@
 """Shared exception types."""
 
+import json
 from contextlib import contextmanager
 
 
 class DomainError(ValueError):
     """A precondition on mathematical input is violated."""
+
+
+class ParseError(ValueError):
+    """Input text that does not parse: the set language, or JSON (exit 2)."""
+
+    def __init__(self, message, line=None, col=None):
+        loc = f" at line {line}, column {col}" if line is not None else ""
+        super().__init__(f"{message}{loc}")
+        self.line = line
+        self.col = col
 
 
 class BudgetError(RuntimeError):
@@ -41,3 +52,13 @@ def json_list(value, what: str) -> list:
     if not isinstance(value, list):
         raise DomainError(f"{what} must be a list, not {type(value).__name__}")
     return value
+
+
+def load_json(text: str):
+    """The JSON value of text; any ValueError of the decoder is a ParseError.  That is
+    a JSONDecodeError, or the plain ValueError of an integer longer than Python's
+    int-to-string digit limit (4,300 digits by default)."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None

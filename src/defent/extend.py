@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import lcm
 
-from .errors import DomainError, json_list, malformed
+from .errors import BudgetError, DomainError, json_list, malformed
 from .logval import LogValue, log_of_rat, rational
 from .polymatroid import (
     H,
@@ -44,6 +44,10 @@ from .polymatroid import (
 )
 
 _ZERO = LogValue.zero()
+
+# Most (marginal, outcome) pairs dist_entropy_profile may walk: 2^n marginals, each
+# over the whole support; the default assignment budget of the enumeration, too.
+PROFILE_BUDGET = 10**9
 
 
 class Distribution:
@@ -168,8 +172,12 @@ def entropy_numerators(counts: dict, total: int) -> dict:
 
 def dist_entropy_profile(p: Distribution) -> Profile:
     """Exact entropy profile: each marginal cuts den equal points into blocks of its
-    numerators, one exponent row per subset over the denominator den."""
+    numerators, one exponent row per subset over the denominator den.  Raises
+    BudgetError before the walk when 2^n times the support exceeds PROFILE_BUDGET."""
     gs = p.ground_set
+    if len(p.probs) << len(gs) > PROFILE_BUDGET:
+        raise BudgetError(f"entropy profile needs 2^{len(gs)} marginals of {len(p.probs)} "
+                          f"outcomes (budget {PROFILE_BUDGET})")
     rows = [entropy_numerators(Counter(p._marginal_numerators(
                 [v for i, v in enumerate(gs) if mask >> i & 1]).values()), p._den)
             for mask in range(1 << len(gs))]

@@ -11,8 +11,12 @@ the Smith normal form S = T A U (T, U unimodular, diagonal s_1 | s_2 | ...):
 The same machinery drives monomial (toric) maps: writing torus coordinates
 as powers of a generator turns t -> (t^a_1, ..., t^a_n) into the Z/(q-1)
 linear map x -> A x, so the toric profile must equal the congruence profile
-at m = q - 1 (torus_profile computes it by direct enumeration instead,
-which keeps the two routes independent).
+at m = q - 1.  torus_profile is the independent check of that identity: it
+pushes the torus through the monomials with FieldSpec.pow and FieldSpec.mul
+alone, tabulated per exponent and per value, and reads every entropy off the
+fiber sizes of the image.  It shares no code with the congruence route (no
+SNF, subset diagonals or image_size), takes no generator or discrete log,
+and uses nothing of the enumeration engine.
 
 One Euclidean reduction serves both computations below: the column
 Hermite form (``_hermite``).  snf() alternates it on the columns and the
@@ -30,19 +34,18 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import numbers
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm, prod
 
 import numpy as np
 
-from .errors import BudgetError, DomainError, json_list, malformed
-from .extend import Distribution, dist_entropy_profile
+from .errors import BudgetError, DomainError, json_list, load_json, malformed
+from .extend import entropy_numerators
 from .gf import FieldSpec
 from .logval import factorize, is_prime
-from .polymatroid import Profile
+from .polymatroid import Profile, _columns
 
 BRUTEFORCE_BUDGET = 10**8
 
@@ -104,7 +107,7 @@ def parse_matrix(text: str) -> IntMatrix:
     """Matrix text: one row per line, optional 'label:' prefix; or JSON."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        obj = json.loads(text)
+        obj = load_json(text)
         with malformed("matrix JSON"):
             labels = json_list(obj["labels"], "labels") if "labels" in obj else None
             return IntMatrix.from_rows(json_list(obj["rows"], "rows"), labels)
@@ -460,38 +463,43 @@ def profile_lincong(matrix: IntMatrix, m: int) -> Profile:
 def torus_profile(matrix: IntMatrix, spec: FieldSpec) -> Profile:
     """Profile of the uniform distribution on the monomial image of the torus.
 
-    Enumerates (F_q^x)^d directly and pushes through t -> (t^a_1, ..., t^a_n);
-    equals profile_lincong(A, q-1) by the generator correspondence, but is
-    computed without any Smith normal form.
+    Pushes (F_q^x)^d through t -> (t^a_1, ..., t^a_n) one coordinate at a time
+    and keeps only the image: the image over t_1..t_(j+1) is that over t_1..t_j
+    times (t^a_1,j+1, ..., t^a_n,j+1) for every unit t.  FieldSpec.pow lists t^a
+    over the units once per nonzero exponent a; row i's factor comes from a
+    table of v t^a over t per value v the row holds, so FieldSpec.mul runs at
+    most (q-1)^2 times per matrix entry.  A subset's row of exponents is read
+    off its projection of the image: the fiber sizes, counted, go to
+    entropy_numerators over |image| (memoised per histogram); no Distribution
+    is built.  Equals profile_lincong(A, q-1) by the generator correspondence,
+    yet calls no SNF, subset diagonal, image_size, generator or enumeration code.
     """
     m = spec.q - 1
     if m < 2:
         raise DomainError("torus profile needs q >= 3")
-    d = matrix.d
-    total = m**d
-    if total > BRUTEFORCE_BUDGET:
-        raise BudgetError(f"torus enumeration needs {total} tuples (budget {BRUTEFORCE_BUDGET})")
-    nonzero = [a for a in spec.elements() if a != 0]
-    # power[a][t] = t^a for every nonzero t and every exponent a of the matrix
-    power = {a: {t: spec.pow(t, a) for t in nonzero}
+    n, d = matrix.n, matrix.d
+    if m**d > BRUTEFORCE_BUDGET:
+        raise BudgetError(f"torus enumeration needs {m**d} tuples (budget {BRUTEFORCE_BUDGET})")
+    # power[a][t - 1] = t^a for every unit t and every exponent a of the matrix
+    power = {a: [spec.pow(t, a) for t in range(1, spec.q)]
              for a in {a for row in matrix.rows for a in row if a}}
-    image = {tuple(_monomial(spec, t, row, power) for row in matrix.rows)
-             for t in itertools.product(nonzero, repeat=d)}
-    pr = Fraction(1, len(image))
-    dist = Distribution(
-        matrix.labels,
-        {outcome: pr for outcome in image},
-        {lab: tuple(spec.elements()) for lab in matrix.labels},
-    )
-    return dist_entropy_profile(dist)
-
-
-def _monomial(spec, t, exponents, power):
-    out = 1
-    for tj, a in zip(t, exponents):
-        if a:
-            out = spec.mul(out, power[a][tj])
-    return out
+    image = {(1,) * n}
+    for column in zip(*matrix.rows):
+        tables = [{v: [spec.mul(v, w) for w in power[a]] if a else [v] * m
+                   for v in {x[i] for x in image}} for i, a in enumerate(column)]
+        grown = set()
+        for x in image:
+            grown.update(zip(*map(dict.__getitem__, tables, x)))
+        image = grown
+    size, cols, memo = len(image), list(zip(*image)), {}
+    rows = [{}]
+    for mask in range(1, 1 << n):
+        fibers = Counter(Counter(zip(*(c for i, c in enumerate(cols) if mask >> i & 1))).values())
+        key = frozenset(fibers.items())
+        if key not in memo:
+            memo[key] = entropy_numerators(fibers, size)
+        rows.append(memo[key])
+    return Profile._of_matrix(matrix.labels, *_columns(rows, size))
 
 
 def dirichlet_modulus(matrix: IntMatrix) -> int:

@@ -31,16 +31,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, ParseError
 from .gf import FieldSpec
-
-
-class ParseError(ValueError):
-    def __init__(self, message, line=None, col=None):
-        loc = f" at line {line}, column {col}" if line is not None else ""
-        super().__init__(f"{message}{loc}")
-        self.line = line
-        self.col = col
 
 
 # -- AST ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -236,6 +237,44 @@ def test_bad_matrix_entries_and_labels_exit_3(capsys, tmp_path, name, text, mess
         captured = capsys.readouterr()
         assert code == 3 and captured.out == "", argv
         assert captured.err.startswith("defent: ") and message in captured.err, captured.err
+
+
+def test_json_integers_past_the_digit_limit_exit_2(capsys, tmp_path):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, past 4,300 digits
+    big = "9" * 5001
+    prof = tmp_path / "prof.json"
+    prof.write_text('{"ground_set": ["x"], "entries": {"x": {"terms": {"2": %s}}}}' % big)
+    dist = tmp_path / "dist.json"
+    dist.write_text('{"ground_set": ["x"], "support": [{"outcome": ["0"], "prob": %s}]}' % big)
+    mat = tmp_path / "big.mat"
+    mat.write_text('{"rows": [[%s, 1]]}' % big)
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(defent.zero_profile(("x", "y")).to_json()))
+    for argv in (["check", str(prof), "--gmm"], ["check", str(prof), "--expr", "H(x)"],
+                 ["factor", str(prof), "--blocks", "X=x"], ["convolve", str(prof), str(good)],
+                 ["extend", "ak", str(prof), "--L", "x"], ["extend", "copy", str(dist)],
+                 ["extend", "sw", str(good), "--L", "y", "--alpha", '{"terms": {"2": %s}}' % big],
+                 ["snf", str(mat)], ["lincong", str(mat), "--m", "5"], ["torus", str(mat), "--p", "5"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv[:2]
+        assert captured.err.startswith("defent: parse error: Exceeds the limit"), captured.err
+    with pytest.raises(defent.ParseError, match="Exceeds the limit"):
+        defent.parse_matrix('{"rows": [[%s]]}' % big)
+
+
+def test_extend_copy_of_a_wide_distribution_exits_4_at_once(capsys, tmp_path):
+    # one outcome over 40 labels is valid; its 2^40 marginals used to run until killed
+    dist = tmp_path / "dist40.json"
+    dist.write_text(json.dumps({"ground_set": [f"x{i}" for i in range(40)],
+                                "support": [{"outcome": ["0"] * 40, "prob": 1}]}))
+    for L in ([], ["--L", ",".join(f"x{i}" for i in range(40))]):
+        start = time.perf_counter()
+        code = main(["extend", "copy", str(dist), *L])
+        assert time.perf_counter() - start < 2
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == "", captured.err
+        assert captured.err.startswith("defent: budget exceeded: entropy profile needs 2^")
 
 
 def test_malformed_functionals_exit_3(capsys, tmp_path):

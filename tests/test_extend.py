@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defent import (
+    BudgetError,
     Distribution,
     DomainError,
     LogValue,
@@ -26,6 +27,7 @@ from defent import (
     slepian_wolf_partial,
     zero_profile,
 )
+from defent import extend
 from defent.polymatroid import subsets
 
 Z = LogValue.zero()
@@ -76,6 +78,19 @@ def test_dist_entropy_profile_examples():
     hyp = parse_set("set Hyp(x, y) := x*y = 0")
     m = marginal_distribution(hyp, ["y"], field(5))
     assert dist_entropy_profile(m)["y"] == LogValue({3: 2, 5: Fraction(-5, 9)})
+
+
+def test_dist_entropy_profile_budget(monkeypatch):
+    # 2^n marginals, each over the whole support: two fair bits walk 4 x 4 pairs
+    monkeypatch.setattr(extend, "PROFILE_BUDGET", 16)
+    assert dist_entropy_profile(bits(2))[("x", "y")] == L2 + L2
+    monkeypatch.setattr(extend, "PROFILE_BUDGET", 15)
+    with pytest.raises(BudgetError, match=r"2\^2 marginals of 4 outcomes \(budget 15\)"):
+        dist_entropy_profile(bits(2))
+    monkeypatch.undo()
+    wide = Distribution(tuple(f"x{i}" for i in range(40)), {(0,) * 40: Fraction(1)})
+    with pytest.raises(BudgetError, match=r"2\^40 marginals of 1 outcomes"):
+        dist_entropy_profile(wide)
 
 
 @st.composite

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from defent import (
     BudgetError,
     DomainError,
+    FieldSpec,
     IntMatrix,
     LogValue,
     dirichlet_modulus,
@@ -20,6 +22,7 @@ from defent import (
     is_polymatroid,
     log_of_rat,
     parse_matrix,
+    prime_power,
     profile_lincong,
     snf,
     suggest_primes,
@@ -31,6 +34,7 @@ from defent.lincong import SnfResult, _det, _subset_diagonals, _verify_snf
 from defent.polymatroid import subsets
 from test_acceptance import all_subset_image_sizes_bruteforce
 
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 PAPER_MATRIX = IntMatrix.from_rows(
     [(1, 0, 2, 3, 0), (2, 9, 7, 7, 7), (9, 3, 3, 3, 0), (2, 2, 7, 7, 7)]
 )
@@ -382,6 +386,59 @@ def test_torus_matches_lincong_over_extension_fields():
                 [[rng.randint(-10, 10) for _ in range(2)] for _ in range(3)]
             )
             assert torus_profile(mat, spec) == profile_lincong(mat, spec.q - 1)
+
+
+PRIME_POWERS = (3, 4, 5, 7, 8, 9, 11, 13, 16)
+
+
+@st.composite
+def torus_matrices(draw):
+    """1-4 rows of width 1-3, entries in [-10, 10], with zero rows and zero columns."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    entry = st.one_of(st.just(0), st.integers(-10, 10))
+    rows = [draw(st.lists(entry, min_size=d, max_size=d)) for _ in range(n)]
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n - 1)):
+        rows[i] = [0] * d
+    for j in draw(st.sets(st.integers(0, d - 1), max_size=d)):
+        for row in rows:
+            row[j] = 0
+    return IntMatrix.from_rows(rows)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(mat=torus_matrices())
+def test_torus_matches_lincong_over_every_prime_power(q, mat):
+    spec = field(*prime_power(q))
+    assert torus_profile(mat, spec) == profile_lincong(mat, q - 1)
+
+
+def test_torus_of_the_paper_matrix_at_every_prime_power():
+    # the precondition of the paper's torus claim, at every prime power q <= 13
+    mat = parse_matrix((GOLDEN_INPUTS / "paper.mat").read_text())
+    assert mat == PAPER_MATRIX
+    for q in PRIME_POWERS[:-1]:
+        assert torus_profile(mat, field(*prime_power(q))) == profile_lincong(mat, q - 1), q
+
+
+@pytest.mark.parametrize("p, e", [(2, 3), (3, 2)])
+def test_torus_field_multiplications_are_bounded(monkeypatch, p, e):
+    """Tables of v t^a per value v: at most (q-1)^2 products per matrix entry, plus the
+    powers.  One product per grid point and nonzero exponent would be 285,866 over
+    GF(8) and 557,224 over GF(9) on this matrix."""
+    calls = [0]
+    mul = FieldSpec.mul
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FieldSpec, "mul", counted)  # FieldSpec.pow calls it too
+    spec = field(p, e)
+    prof = torus_profile(PAPER_MATRIX, spec)
+    assert 0 < calls[0] <= 2000
+    monkeypatch.undo()
+    assert prof == profile_lincong(PAPER_MATRIX, spec.q - 1)
 
 
 def test_dirichlet_examples():
