@@ -50,10 +50,10 @@ import numpy as np
 
 from .enumeration import DEFAULT_MAX_EVALS
 from .enumeration import collect_points_vec as collect_points, count_points_vec as count_points
-from .errors import DomainError, EstimationError
+from .errors import BudgetError, DomainError, EstimationError
 from .extend import Distribution, entropy_numerators
 from .gf import FieldSpec, field
-from .polymatroid import Profile, _columns
+from .polymatroid import Profile, _columns, check_subsets
 from .ringlang import DefinableSet
 
 DENOM_CAP = 64
@@ -170,12 +170,19 @@ def _histogram_from_points(points, cols, q, keys=None):
     return _fiber_sizes(keys, q ** len(cols))
 
 
+def _fiber_histograms(points, subsets, q) -> dict:
+    """labels -> FiberHistogram of points projected on cols, per (cols, labels) in subsets."""
+    total, out = int(points.shape[1]), {}
+    for cols, labels in subsets:
+        buckets, nonempty = _histogram_from_points(points, cols, q)
+        out[labels] = FiberHistogram(labels, total, buckets, q ** len(cols) - nonempty)
+    return out
+
+
 def fiber_histogram(dset: DefinableSet, I, spec: FieldSpec) -> FiberHistogram:
     """Exact fiber-size census of the projection of X(G) onto the variables I."""
-    cols, labels = _subset_columns(dset, I)
-    points = collect_points(dset, spec)
-    buckets, nonempty = _histogram_from_points(points, cols, spec.q)
-    return FiberHistogram(labels, int(points.shape[1]), buckets, spec.q ** len(cols) - nonempty)
+    sub = _subset_columns(dset, I)
+    return _fiber_histograms(collect_points(dset, spec), [sub], spec.q)[sub[1]]
 
 
 def entropy_profile(dset: DefinableSet, spec: FieldSpec, *, jobs: int = 1,
@@ -193,11 +200,18 @@ def entropy_profile(dset: DefinableSet, spec: FieldSpec, *, jobs: int = 1,
     so in every superset.  A node holding such a column c of one of its
     immediate subsets copies the row and the D of S - c, exactly, and so
     does its whole subtree; only the other nodes key, sort or bincount
-    their columns (``_histogram_from_points``).
+    their columns (``_histogram_from_points``).  A BudgetError refuses 2^n
+    past MAX_SUBSETS before enumeration, and 2^n |X| past max_evals after.
     """
+    n = len(dset.free_vars)
+    check_subsets(n, f"profile of {dset.name}")
     points = collect_points(dset, spec, jobs=jobs, max_evals=max_evals)
-    if points.shape[1] == 0:
+    total = int(points.shape[1])
+    if total == 0:
         raise DomainError(f"empty definable set: {dset.name} over {spec!r}")
+    if total << n > max_evals:
+        raise BudgetError(f"profile of {dset.name} over {spec!r} walks 2^{n} marginals of "
+                          f"{total} points (budget {max_evals})")
     return _profile_of_points(points, dset.free_vars, spec.q)
 
 
@@ -253,18 +267,14 @@ def tower_census(dset: DefinableSet, p: int, e_max: int, subsets=None, *,
     """Counts (and optional per-subset fiber histograms) for e = 1..e_max."""
     if e_max < 1:
         raise DomainError("e_max must be >= 1")
+    subsets = [_subset_columns(dset, sub) for sub in subsets or ()]
     rows = []
     for e in range(1, e_max + 1):
         spec = field(p, e)
         if subsets:
             points = collect_points(dset, spec, jobs=jobs, max_evals=max_evals)
-            count, fibers = int(points.shape[1]), {}
-            for sub in subsets:
-                cols, labels = _subset_columns(dset, sub)
-                buckets, nonempty = _histogram_from_points(points, cols, spec.q)
-                fibers[labels] = FiberHistogram(labels, count, buckets,
-                                                spec.q ** len(cols) - nonempty)
-            rows.append(CensusRow(e, spec.q, count, fibers))
+            rows.append(CensusRow(e, spec.q, int(points.shape[1]),
+                                  _fiber_histograms(points, subsets, spec.q)))
         else:
             count = count_points(dset, spec, jobs=jobs, max_evals=max_evals)
             rows.append(CensusRow(e, spec.q, count))

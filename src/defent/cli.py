@@ -316,7 +316,8 @@ def _cmd_convolve(args):
 def _add_enum_flags(p):
     p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     p.add_argument("--max-evals", type=int, default=DEFAULT_MAX_EVALS,
-                   help="assignment budget (default 1e9); exceeding exits 4")
+                   help="work budget (default 1e9): assignments enumerated, and for a "
+                        "profile 2^n marginals times its points; exceeding exits 4")
 
 
 @functools.lru_cache(maxsize=1)

@@ -280,11 +280,11 @@ class _Engine:
 
 def _summands(t):
     """(sign, summand) pairs of t through nested sums and negations, in order."""
-    k, t = rl.unwrap(t)
-    sign = -1 if k % 2 else 1
-    if not isinstance(t, rl.Add):
-        return [(sign, t)]
-    return [(sign * s, u) for a in t.args for s, u in _summands(a)]
+    if isinstance(t, rl.Neg):
+        return [(-s, u) for s, u in _summands(t.arg)]
+    if isinstance(t, rl.Add):
+        return [(s, u) for a in t.args for s, u in _summands(a)]
+    return [(1, t)]
 
 
 def _additive_split(node):
@@ -312,10 +312,10 @@ def _additive_split(node):
 
 
 def _subformulas(phi) -> list:
-    """The subformulas of phi in preorder, a run of ~ as its inner formula."""
+    """The subformulas of phi in preorder."""
     out, stack = [], [phi]
     while stack:
-        node = rl.unwrap(stack.pop())[1]
+        node = stack.pop()
         out.append(node)
         if not isinstance(node, rl.Eq0):  # terms bind nothing
             stack.extend(reversed(rl.children(node)))
@@ -384,9 +384,7 @@ class _Chunk:
         if isinstance(phi, rl.Eq0):
             return self.eng.is_zero(phi.term, self.env)
         if isinstance(phi, rl.Not):
-            k, inner = rl.unwrap(phi)
-            r = self.formula(inner)
-            return ~r if k % 2 else r
+            return ~self.formula(phi.arg)
         if isinstance(phi, (rl.And, rl.Or)):
             conj = isinstance(phi, rl.And)
             acc = self.formula(phi.args[0])
@@ -443,8 +441,7 @@ def _subst(node, v, t):
     if isinstance(node, (rl.Add, rl.Mul, rl.And, rl.Or)):
         return type(node)(tuple(_subst(a, v, t) for a in node.args))
     if isinstance(node, (rl.Neg, rl.Not)):
-        k, inner = rl.unwrap(node)
-        return rl.rewrap(type(node), k, _subst(inner, v, t))
+        return type(node)(_subst(node.arg, v, t))
     if isinstance(node, rl.Pow):
         return rl.Pow(_subst(node.base, v, t), node.exp)
     if isinstance(node, rl.Eq0):

@@ -32,6 +32,7 @@ from .polymatroid import (
     _distinct,
     _rows_from_json,
     _subset_index,
+    check_subsets,
     cond_entropy,
     cond_mi,
     entries_to_json,
@@ -173,11 +174,13 @@ def entropy_numerators(counts: dict, total: int) -> dict:
 def dist_entropy_profile(p: Distribution) -> Profile:
     """Exact entropy profile: each marginal cuts den equal points into blocks of its
     numerators, one exponent row per subset over the denominator den.  Raises
-    BudgetError before the walk when 2^n times the support exceeds PROFILE_BUDGET."""
+    BudgetError before the walk when 2^n times the support exceeds PROFILE_BUDGET, or
+    2^n exceeds MAX_SUBSETS."""
     gs = p.ground_set
     if len(p.probs) << len(gs) > PROFILE_BUDGET:
         raise BudgetError(f"entropy profile needs 2^{len(gs)} marginals of {len(p.probs)} "
                           f"outcomes (budget {PROFILE_BUDGET})")
+    check_subsets(len(gs), "entropy profile")
     rows = [entropy_numerators(Counter(p._marginal_numerators(
                 [v for i, v in enumerate(gs) if mask >> i & 1]).values()), p._den)
             for mask in range(1 << len(gs))]

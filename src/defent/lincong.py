@@ -45,7 +45,7 @@ from .errors import BudgetError, DomainError, json_list, load_json, malformed
 from .extend import entropy_numerators
 from .gf import FieldSpec
 from .logval import factorize, is_prime
-from .polymatroid import Profile, _columns
+from .polymatroid import Profile, _columns, check_subsets
 
 BRUTEFORCE_BUDGET = 10**8
 
@@ -312,6 +312,7 @@ def _subset_diagonals(matrix: IntMatrix) -> tuple:
     full set's diagonal must be its diagonal.
     """
     n, d = matrix.n, matrix.d
+    check_subsets(n, "SNF diagonal table")
     full = snf(matrix).diagonal
     H = _lattice_basis(matrix.rows)
     if len(H[0]) != sum(1 for s in full if s):
@@ -473,13 +474,17 @@ def torus_profile(matrix: IntMatrix, spec: FieldSpec) -> Profile:
     entropy_numerators over |image| (memoised per histogram); no Distribution
     is built.  Equals profile_lincong(A, q-1) by the generator correspondence,
     yet calls no SNF, subset diagonal, image_size, generator or enumeration code.
+    The image after j columns has at most (q-1)^min(j, n) points, so the walk's
+    steps, not the (q-1)^d grid, are charged to BRUTEFORCE_BUDGET.
     """
     m = spec.q - 1
     if m < 2:
         raise DomainError("torus profile needs q >= 3")
     n, d = matrix.n, matrix.d
-    if m**d > BRUTEFORCE_BUDGET:
-        raise BudgetError(f"torus enumeration needs {m**d} tuples (budget {BRUTEFORCE_BUDGET})")
+    check_subsets(n, "torus profile")
+    steps = sum(m * m ** min(j, n) for j in range(d))
+    if steps > BRUTEFORCE_BUDGET:
+        raise BudgetError(f"torus image walk needs {steps} steps (budget {BRUTEFORCE_BUDGET})")
     # power[a][t - 1] = t^a for every unit t and every exponent a of the matrix
     power = {a: [spec.pow(t, a) for t in range(1, spec.q)]
              for a in {a for row in matrix.rows for a in row if a}}

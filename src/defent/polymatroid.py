@@ -42,7 +42,7 @@ import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import DomainError, json_list, malformed
+from .errors import BudgetError, DomainError, json_list, malformed
 from .gf import prime_power
 from .logval import LOG2, LogValue, _canon, decode_terms, log_of_rat
 
@@ -283,6 +283,17 @@ def _columns(rows, den=1) -> tuple:
 def _label_bits(gs: tuple) -> dict:
     """label -> its bit (bit i stands for gs[i])."""
     return {v: 1 << i for i, v in enumerate(gs)}
+
+
+# Most subsets a walk over every subset of its labels may visit: 20 labels.
+MAX_SUBSETS = 1 << 20
+
+
+def check_subsets(n: int, what: str):
+    """Refuse, before it starts, a walk of ``what`` over the 2^n subsets of n labels
+    when 2^n exceeds MAX_SUBSETS."""
+    if 1 << n > MAX_SUBSETS:
+        raise BudgetError(f"{what} needs 2^{n} subsets (budget {MAX_SUBSETS})")
 
 
 @functools.lru_cache(maxsize=64)

@@ -17,8 +17,10 @@ first: "->" (right-associative); "\\/"; "/\\"; prefix "~", "exists v." and
 of + and -, or of * is one n-ary node ("a - b" adds Neg(b)); "=", "!=" and
 "^" do not chain.  A group "( )" is a term or a formula, as the operator
 around it requires, and keeps its own node.  Input nested deeper than
-MAX_DEPTH levels is rejected; a run of ~ or of unary - is one level, as the
-walkers here, hashing, comparison, repr and pickling all loop over such runs.
+MAX_DEPTH levels is rejected.  A bare run of k "~", or of k unary "-", is read
+by its parity, as ~~phi is phi and --t is t in every field: one Not or Neg when
+k is odd, none when k is even; so no run in a parsed tree is longer than its
+groups' nesting, which MAX_DEPTH bounds.
 
 "s = t" is sugar for "s - t = 0" and "s != t" for its negation; "->" is
 the Implies node.  "#" starts a comment until end of line.  Quantified
@@ -37,31 +39,6 @@ from .gf import FieldSpec
 
 # -- AST ----------------------------------------------------------------------
 
-class _Run:
-    """Neg and Not nest in runs of any length ("---x", "~~~x = 0"); hashing,
-    comparing, pickling and repr walk a run in a loop, not a Python frame per node."""
-
-    def __repr__(self):
-        k, inner = unwrap(self)
-        return f"{type(self).__qualname__}(arg=" * k + repr(inner) + ")" * k
-
-    def __hash__(self):
-        return hash((type(self), *unwrap(self)))
-
-    def __eq__(self, other):
-        return type(other) is type(self) and unwrap(self) == unwrap(other)
-
-    def __reduce__(self):
-        return rewrap, (type(self), *unwrap(self))
-
-
-def rewrap(cls, k, inner):
-    """k nested cls nodes around inner, the inverse of unwrap."""
-    for _ in range(k):
-        inner = cls(inner)
-    return inner
-
-
 @dataclass(frozen=True)
 class Var:
     name: str
@@ -78,8 +55,8 @@ class Add:
 class Mul:
     args: tuple
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Neg(_Run):
+@dataclass(frozen=True)
+class Neg:
     arg: object
 
 @dataclass(frozen=True)
@@ -92,8 +69,8 @@ class Pow:
 class Eq0:
     term: object
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Not(_Run):
+@dataclass(frozen=True)
+class Not:
     arg: object
 
 @dataclass(frozen=True)
@@ -148,20 +125,11 @@ def children(node) -> tuple:
     return _CHILDREN[type(node)](node)
 
 
-def unwrap(node):
-    """(k, inner): node is a run of k Neg, or of k Not, around inner (k = 0 for other nodes)."""
-    cls, k = type(node), 0
-    while isinstance(node, _Run) and type(node) is cls:
-        node, k = node.arg, k + 1
-    return k, node
-
-
 def free_vars(phi) -> list:
     """Free variables in order of first occurrence."""
     out = {}
 
     def walk(node, bound):
-        node = unwrap(node)[1]
         if isinstance(node, Var):
             if node.name not in bound:
                 out.setdefault(node.name)
@@ -176,13 +144,12 @@ def free_vars(phi) -> list:
 
 
 def _height(phi) -> int:
-    """Levels of phi's tree, a run of ~ or of unary - counting as one."""
+    """Levels of phi's tree, one per node."""
     best, stack = 0, [(phi, 1)]
     while stack:
         node, h = stack.pop()
         best = max(best, h)
-        for c in children(node):  # a run of Neg or of Not is one level
-            stack.append((c, h if type(c) is type(node) and isinstance(c, _Run) else h + 1))
+        stack.extend((c, h + 1) for c in children(node))
     return best
 
 
@@ -356,13 +323,14 @@ class _Parser:
         return left
 
     def prefix(self, bp):
-        """A run of prefix operators, read in a loop, and the operand they apply to."""
+        """A run of prefix operators, read by its parity, and the operand it applies to:
+        ~~phi is phi and --t is t, so an odd run is one Not or Neg and an even run none."""
         if bp <= _ATOM and self.peek()[1] in ("~", "exists", "forall"):
             nots = 0
             while self.accept("~"):
                 nots += 1
             phi = self.quantifier() if self.peek()[1] in ("exists", "forall") else self.operand(_ATOM)
-            return rewrap(Not, nots, phi)
+            return Not(phi) if nots % 2 else phi
         negs = 0
         while self.accept("-"):
             negs += 1
@@ -385,7 +353,7 @@ class _Parser:
             base = Pow(base, int(exp))
         if negs and not isinstance(base, _TERMS):
             self.fail("a term", tok)
-        return rewrap(Neg, negs, base)
+        return Neg(base) if negs % 2 else base
 
     def quantifier(self):
         kind, val, line, col = self.next()
@@ -438,9 +406,8 @@ def _term_str(t, prec=0):
     if isinstance(t, Mul):
         s = "*".join(_term_str(a, 3) for a in t.args)
         return f"({s})" if prec > 2 else s
-    if isinstance(t, Neg):
-        k, inner = unwrap(t)
-        s = "-" * k + _term_str(inner, 3)
+    if isinstance(t, Neg):  # -(-x): a bare "--x" would read as x
+        s = "-" + _term_str(t.arg, 4 if isinstance(t.arg, Neg) else 3)
         return f"({s})" if prec > 3 else s
     if isinstance(t, Pow):
         s = f"{_term_str(t.base, 5)}^{t.exp}"
@@ -462,10 +429,10 @@ def _formula_str(phi, prec=0):
         s = op.join(_formula_str(a, level + 1) for a in phi.args)
         return f"({s})" if prec > level else s
     if isinstance(phi, Not):
-        k, inner = unwrap(phi)
-        if isinstance(inner, Eq0):
-            return "~" * (k - 1) + f"{_term_str(inner.term, 1)} != 0"
-        return "~" * k + _formula_str(inner, 4)
+        if isinstance(phi.arg, Eq0):
+            return f"{_term_str(phi.arg.term, 1)} != 0"
+        s = _formula_str(phi.arg, 4)
+        return f"~({s})" if s.startswith("~") else "~" + s  # a bare "~~" would read as none
     if isinstance(phi, Eq0):
         return f"{_term_str(phi.term, 1)} = 0"
     raise TypeError(f"not a formula: {phi!r}")
@@ -501,9 +468,7 @@ def eval_term(t, env: dict, spec: FieldSpec) -> int:
             out = op(out, eval_term(a, env, spec))
         return out
     if isinstance(t, Neg):
-        k, inner = unwrap(t)
-        value = eval_term(inner, env, spec)
-        return spec.neg(value) if k % 2 else value
+        return spec.neg(eval_term(t.arg, env, spec))
     if isinstance(t, Pow):
         return spec.pow(eval_term(t.base, env, spec), t.exp)
     raise TypeError(f"not a term: {t!r}")
@@ -523,8 +488,7 @@ def eval_formula(phi, assignment: dict, spec: FieldSpec) -> bool:
         if isinstance(node, Eq0):
             return eval_term(node.term, env, spec) == 0
         if isinstance(node, Not):
-            k, inner = unwrap(node)
-            return rec(inner) != bool(k % 2)
+            return not rec(node.arg)
         if isinstance(node, (And, Or)):
             return (all if isinstance(node, And) else any)(rec(a) for a in node.args)
         if isinstance(node, Implies):

@@ -31,6 +31,7 @@ from defent import ringlang as rl
 from defent import census
 from defent.census import CensusTable, _profile_of_points, collect_points
 from defent.enumeration import _chunk_plan, _plan, _Plan
+from defent import polymatroid
 from defent.polymatroid import Profile
 
 
@@ -430,3 +431,26 @@ def test_census_json(hyp_set):
     assert obj["set"] == "Hyp" and obj["p"] == 3
     assert obj["rows"][0]["count"] == 5
     assert obj["rows"][0]["fibers"]["y"]["buckets"] == {"1": 2, "3": 1}
+
+
+def test_profile_walk_is_charged_to_the_work_budget(monkeypatch):
+    # Hyp over GF(5): 25 assignments, then 2^2 marginals of its 9 points
+    hyp = parse_set("set Hyp(x, y) := x*y = 0")
+    assert entropy_profile(hyp, field(5), max_evals=36) == entropy_profile(hyp, field(5))
+    with pytest.raises(BudgetError, match=r"walks 2\^2 marginals of 9 points \(budget 35\)"):
+        entropy_profile(hyp, field(5), max_evals=35)
+    monkeypatch.setattr(polymatroid, "MAX_SUBSETS", 2)
+    monkeypatch.setattr(census, "collect_points", None)  # refused before any enumeration
+    with pytest.raises(BudgetError, match=r"needs 2\^2 subsets \(budget 2\)"):
+        entropy_profile(hyp, field(5))
+
+
+def test_unknown_projection_variables_are_refused_before_enumeration(monkeypatch):
+    hyp = parse_set("set Hyp(x, y) := x*y = 0")
+    tower = tower_census(hyp, 3, 2, [["y"], ["x", "y"]])
+    assert tower.rows[1].fibers[("y",)] == fiber_histogram(hyp, ["y"], field(3, 2))
+    monkeypatch.setattr(census, "collect_points", None)
+    for call in (lambda: fiber_histogram(hyp, ["z"], field(3)),
+                 lambda: tower_census(hyp, 3, 2, [["x"], ["z"]])):
+        with pytest.raises(DomainError, match="'z' is not a free variable"):
+            call()

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -15,6 +16,7 @@ import defent
 from defent.cli import _emit, build_parser, main
 from conftest import HYP_TEXT, KR_TEXT, SQRT_TEXT
 
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 PAPER_MATRIX_TEXT = "1 0 2 3 0\n2 9 7 7 7\n9 3 3 3 0\n2 2 7 7 7\n"
 
 
@@ -275,6 +277,22 @@ def test_extend_copy_of_a_wide_distribution_exits_4_at_once(capsys, tmp_path):
         captured = capsys.readouterr()
         assert code == 4 and captured.out == "", captured.err
         assert captured.err.startswith("defent: budget exceeded: entropy profile needs 2^")
+
+
+@pytest.mark.parametrize("argv", [
+    ["lincong", "tall24.mat", "--m", "6"],      # 2^24 row subsets
+    ["torus", "tall24.mat", "--p", "7"],
+    ["profile", "zero20.ring", "--p", "2"],    # 2^20 marginals of 2^20 points
+])
+def test_subset_walks_past_their_budget_exit_4_at_once(capsys, argv):
+    # valid inputs whose walks over every subset used to run until killed
+    argv = [argv[0], str(GOLDEN_INPUTS / argv[1]), *argv[2:]]
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == "", captured.err
+    assert captured.err.startswith("defent: budget exceeded: ") and captured.err.count("\n") == 1
 
 
 def test_malformed_functionals_exit_3(capsys, tmp_path):

@@ -91,6 +91,10 @@ def test_dist_entropy_profile_budget(monkeypatch):
     wide = Distribution(tuple(f"x{i}" for i in range(40)), {(0,) * 40: Fraction(1)})
     with pytest.raises(BudgetError, match=r"2\^40 marginals of 1 outcomes"):
         dist_entropy_profile(wide)
+    # 2^21 x 1 is within PROFILE_BUDGET, but 2^21 subsets are past MAX_SUBSETS
+    wide = Distribution(tuple(f"x{i}" for i in range(21)), {(0,) * 21: Fraction(1)})
+    with pytest.raises(BudgetError, match=r"needs 2\^21 subsets \(budget 1048576\)"):
+        dist_entropy_profile(wide)
 
 
 @st.composite

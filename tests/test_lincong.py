@@ -29,7 +29,7 @@ from defent import (
     torus_profile,
     zero_profile,
 )
-from defent import lincong
+from defent import lincong, polymatroid
 from defent.lincong import SnfResult, _det, _subset_diagonals, _verify_snf
 from defent.polymatroid import subsets
 from test_acceptance import all_subset_image_sizes_bruteforce
@@ -472,3 +472,25 @@ def test_submatrix():
     assert image_size(sub, 343) == 7**5
     with pytest.raises(DomainError):
         PAPER_MATRIX.submatrix(["9"])
+
+
+def test_torus_budget_counts_the_image_walk(monkeypatch):
+    # 12^8 grid tuples at q = 13, but the image has at most 12 points: 12 * (1 + 7 * 12) steps
+    row = IntMatrix.from_rows([(1, 2, 3, 4, 5, 6, 7, 8)])
+    assert torus_profile(row, field(13)) == profile_lincong(row, 12)
+    monkeypatch.setattr(lincong, "BRUTEFORCE_BUDGET", 1019)
+    with pytest.raises(BudgetError, match=r"needs 1020 steps \(budget 1019\)"):
+        torus_profile(row, field(13))
+
+
+def test_row_subset_walks_are_bounded(monkeypatch):
+    # every walk over the 2^n row subsets is refused before it starts past MAX_SUBSETS
+    monkeypatch.setattr(polymatroid, "MAX_SUBSETS", 8)
+    rng = random.Random(31)
+    three, four = ([[rng.randint(-10, 10)] for _ in range(n)] for n in (3, 4))
+    assert torus_profile(IntMatrix.from_rows(three), field(7)) == \
+        profile_lincong(IntMatrix.from_rows(three), 6)
+    for walk in (lambda a: profile_lincong(a, 6), dirichlet_modulus,
+                 lambda a: torus_profile(a, field(7))):
+        with pytest.raises(BudgetError, match=r"needs 2\^4 subsets \(budget 8\)"):
+            walk(IntMatrix.from_rows(four))

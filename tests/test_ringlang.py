@@ -9,6 +9,7 @@ from defent.ringlang import (
     Add,
     And,
     Const,
+    DefinableSet,
     Eq0,
     Exists,
     Forall,
@@ -198,8 +199,11 @@ X, Y, A, B, C = Var("x"), Var("y"), Eq0(Var("a")), Eq0(Var("b")), Eq0(Var("c"))
     ("a = 0 /\\ b = 0 /\\ c = 0", And((A, B, C))),
     ("(a = 0 /\\ b = 0) /\\ c = 0", And((And((A, B)), C))),  # a group keeps its node
     ("a = 0 \\/ b = 0 /\\ c = 0 \\/ a = 0", Or((A, And((B, C)), A))),
-    ("~~(x) = 0", Not(Not(Eq0(X)))),
-    ("--x = y", Eq0(Add((Neg(Neg(X)), Neg(Y))))),
+    ("~~(x) = 0", Eq0(X)),  # a bare run is read by its parity
+    ("--x = y", Eq0(Add((X, Neg(Y))))),
+    ("-(-x) = 0", Eq0(Neg(Neg(X)))),  # a group keeps its prefix node
+    ("~(~x = 0)", Not(Not(Eq0(X)))),
+    ("y - -x = 0", Eq0(Add((Y, Neg(Neg(X)))))),
 ])
 def test_grammar_pins_the_ast(text, ast):
     assert parse_formula(text) == ast
@@ -216,20 +220,39 @@ def test_malformed_formulas_are_parse_errors(text):
         parse_formula(text)
 
 
+def _bare_run_checks(n):
+    """A bare run of n ~ and n unary - is at most one Not over at most one Neg, by
+    parity; it prints, re-parses, pickles and evaluates as that."""
+    phi = parse_formula("~" * n + "-" * n + "x = 0")
+    term = Neg(X) if n % 2 else X
+    assert phi == (Not(Eq0(term)) if n % 2 else Eq0(term))
+    assert parse_formula(formula_str(phi)) == phi
+    assert pickle.loads(pickle.dumps(phi)) == phi
+    assert eval_formula(phi, {"x": 1}, field(3)) == (n % 2 == 1)
+    return phi
+
+
 @pytest.mark.parametrize("n", [2000, 100_000])
 def test_long_chains_and_runs_parse_in_a_loop(n):
     assert parse_formula(" /\\ ".join(["x = 0"] * n)) == And((Eq0(X),) * n)
     assert len(parse_formula(" \\/ ".join(["x = 0"] * n)).args) == n
-    phi = parse_formula("~" * n + "-" * n + "x = 0")
-    assert phi == parse_formula(formula_str(phi))
-    assert pickle.loads(pickle.dumps(phi)) == phi and hash(phi) == hash(Not(phi.arg))
-    assert eval_formula(phi, {"x": 1}, field(3)) == (n % 2 == 1)
+    _bare_run_checks(n)
 
 
 @pytest.mark.parametrize("n", [1, 5000])
 def test_repr_of_long_runs_is_the_dataclass_text(n):
-    phi = parse_formula("~" * n + "-" * n + "x = 0")
-    assert repr(phi) == "Not(arg=" * n + "Eq0(term=" + "Neg(arg=" * n + "Var(name='x')" + ")" * (2 * n + 1)
+    phi = _bare_run_checks(n)
+    assert repr(phi) == "Not(arg=" * (n % 2) + "Eq0(term=" + "Neg(arg=" * (n % 2) \
+        + "Var(name='x')" + ")" * (2 * (n % 2) + 1)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_hand_built_runs_round_trip(k):
+    neg, nots = X, Eq0(X)
+    for _ in range(k):
+        neg, nots = Neg(neg), Not(nots)
+    d = DefinableSet("S", ("x", "y"), And((Eq0(Add((neg, Y))), Eq0(Add((Y, neg))), nots)))
+    assert parse_set(set_str(d)) == d
 
 
 @pytest.mark.parametrize("text", [
